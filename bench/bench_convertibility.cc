@@ -1,56 +1,97 @@
 // Reproduces Theorem 6.1 (convertible algorithms): the total instrumented
 // computation cost over all reducers stays within a constant factor of the
 // serial algorithm's cost as the number of reducers grows, when
-// p <= alpha + 2*beta. Shown for triangles (p=3, (0,3/2)-algorithm, Example
-// 6.1) and squares/lollipops via the CQ evaluator at the reducers.
+// p <= alpha + 2*beta. Shown for triangles, squares and lollipops run
+// bucket-oriented through the strategy registry, on an Erdős–Rényi graph
+// and on a preferential-attachment graph with hubs. Every ratio is taken
+// against the serial matcher's operation count.
 // Also prints the (alpha, beta) costs and convertibility verdicts of the
 // decomposition algorithm (Theorem 7.2) for a catalog of patterns.
+//
+// Exits 1 when a bucket-oriented square ratio exceeds kSquareBound, the
+// bound tests/core_generic_test.cc asserts.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
+#include "cq/cq_generation.h"
 #include "graph/generators.h"
 #include "serial/convertible.h"
 #include "serial/decomposition.h"
-#include "serial/triangles.h"
-#include "cq/cq_evaluator.h"
+#include "serial/matcher.h"
 
 namespace smr {
 namespace {
 
-void Run() {
-  const Graph g = ErdosRenyi(1200, 14000, 17);
+constexpr double kSquareBound = 1.5;
+
+struct NamedGraph {
+  const char* name;
+  Graph graph;
+};
+
+/// Prints one pattern's table; returns false if a square ratio breaks the
+/// bound.
+bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
+  const Graph& g = input.graph;
+  const std::vector<ConjunctiveQuery> cqs = CqsForSample(pattern);
+  CostCounter serial_cost;
+  const uint64_t serial_found =
+      EnumerateInstances(pattern, g, nullptr, &serial_cost);
+  std::printf("%s on %s  instances=%llu serial_ops=%llu\n",
+              pattern.ToString().c_str(), input.name,
+              static_cast<unsigned long long>(serial_found),
+              static_cast<unsigned long long>(serial_cost.Total()));
+  std::printf("  %4s %12s %14s %12s %8s\n", "b", "reducers", "reduce_ops",
+              "outputs", "ratio");
+  const bool is_square = pattern.num_vars() == 4 &&
+                         pattern.edges() == SampleGraph::Square().edges();
+  bool ok = true;
+  for (int b : {2, 3, 4, 6}) {
+    EnumerationQuery query = EnumerationQuery::Undirected(pattern, g);
+    query.cqs = &cqs;
+    const EnumerationResult result = StrategyRegistry::Global().Run(
+        query.WithStrategy("bucket:" + std::to_string(b)).WithSeed(1));
+    const MapReduceMetrics& metrics = result.metrics;
+    const double ratio = static_cast<double>(metrics.reduce_cost.Total()) /
+                         static_cast<double>(serial_cost.Total());
+    const bool over = is_square && ratio > kSquareBound;
+    std::printf("  %4d %12llu %14llu %12llu %8.2f%s\n", b,
+                static_cast<unsigned long long>(metrics.key_space),
+                static_cast<unsigned long long>(metrics.reduce_cost.Total()),
+                static_cast<unsigned long long>(metrics.outputs), ratio,
+                over ? "  OVER BOUND" : "");
+    if (metrics.outputs != serial_found) {
+      std::printf("  b=%d found %llu instances, serial found %llu\n", b,
+                  static_cast<unsigned long long>(metrics.outputs),
+                  static_cast<unsigned long long>(serial_found));
+      ok = false;
+    }
+    ok = ok && !over;
+  }
+  std::printf("\n");
+  return ok;
+}
+
+int Run() {
+  const NamedGraph inputs[] = {
+      {"ER(1200, 14000)", ErdosRenyi(1200, 14000, 17)},
+      {"PA(1200, 6)", PreferentialAttachment(1200, 6, 17)}};
   std::printf(
-      "Theorem 6.1: total reducer ops vs serial ops (should stay within a\n"
-      "constant factor as reducers grow)\n\n");
+      "Theorem 6.1: total reducer ops vs serial matcher ops (should stay\n"
+      "within a constant factor as reducers grow; square bound %.2f)\n\n",
+      kSquareBound);
 
   const SampleGraph patterns[] = {SampleGraph::Triangle(),
                                   SampleGraph::Square(),
                                   SampleGraph::Lollipop()};
-  for (const auto& pattern : patterns) {
-    const SubgraphEnumerator enumerator(pattern);
-    CostCounter serial_cost;
-    // Serial baseline: the CQ evaluator on the whole graph (the same kernel
-    // the reducers run), so the comparison is apples to apples.
-    const CqEvaluator evaluator(g, NodeOrder::Identity(g.num_nodes()));
-    const uint64_t serial_found =
-        evaluator.EvaluateAll(enumerator.cqs(), nullptr, &serial_cost);
-    std::printf("%s  instances=%llu serial_ops=%llu\n",
-                pattern.ToString().c_str(),
-                static_cast<unsigned long long>(serial_found),
-                static_cast<unsigned long long>(serial_cost.Total()));
-    std::printf("  %4s %12s %14s %12s %8s\n", "b", "reducers", "reduce_ops",
-                "outputs", "ratio");
-    for (int b : {2, 3, 4, 6}) {
-      const auto metrics = enumerator.RunBucketOriented(g, b, 1, nullptr);
-      std::printf("  %4d %12llu %14llu %12llu %8.2f\n", b,
-                  static_cast<unsigned long long>(metrics.key_space),
-                  static_cast<unsigned long long>(metrics.reduce_cost.Total()),
-                  static_cast<unsigned long long>(metrics.outputs),
-                  static_cast<double>(metrics.reduce_cost.Total()) /
-                      static_cast<double>(serial_cost.Total()));
+  bool ok = true;
+  for (const auto& input : inputs) {
+    for (const auto& pattern : patterns) {
+      ok = RunPattern(pattern, input) && ok;
     }
-    std::printf("\n");
   }
 
   std::printf("Theorem 7.2: decomposition costs and convertibility\n");
@@ -66,12 +107,15 @@ void Run() {
                 cost.ToString().c_str(),
                 IsConvertible(cost, pattern.num_vars()) ? "yes" : "no");
   }
+  if (!ok) {
+    std::printf("\nFAIL: a bucket-oriented square ratio exceeds %.2f or a "
+                "count differs from the serial matcher\n",
+                kSquareBound);
+  }
+  return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace smr
 
-int main() {
-  smr::Run();
-  return 0;
-}
+int main() { return smr::Run(); }

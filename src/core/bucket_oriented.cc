@@ -24,29 +24,30 @@ namespace {
 // identically (lexicographically in the sorted bucket sequence), so metrics
 // and emission order are unchanged where the old packing was correct.
 
-/// Sink wrapper used inside reducers: translates local node ids to global,
-/// optionally filters by a predicate, and forwards to the reducer context.
+/// Sink wrapper used inside reducers: translates local node ids to global
+/// and forwards to the reducer context the assignments `keep(local,
+/// global)` accepts.
+template <typename Keep>
 class ReducerSink : public InstanceSink {
  public:
-  ReducerSink(const std::vector<NodeId>& local_to_global,
-              std::function<bool(std::span<const NodeId>)> keep,
+  ReducerSink(const std::vector<NodeId>& local_to_global, Keep keep,
               ReduceContext* context)
       : local_to_global_(local_to_global),
         keep_(std::move(keep)),
         context_(context) {}
 
   void Emit(std::span<const NodeId> assignment) override {
-    scratch_.assign(assignment.size(), 0);
+    scratch_.resize(assignment.size());
     for (size_t i = 0; i < assignment.size(); ++i) {
       scratch_[i] = local_to_global_[assignment[i]];
     }
-    if (keep_ && !keep_(scratch_)) return;
+    if (!keep_(assignment, std::span<const NodeId>(scratch_))) return;
     context_->EmitInstance(scratch_);
   }
 
  private:
   const std::vector<NodeId>& local_to_global_;
-  std::function<bool(std::span<const NodeId>)> keep_;
+  Keep keep_;
   ReduceContext* context_;
   std::vector<NodeId> scratch_;
 };
@@ -94,19 +95,20 @@ MapReduceMetrics BucketOrientedEnumerate(
     const NodeOrder local_order =
         NodeOrder::Project(order, local.local_to_global);
     const CqEvaluator evaluator(local.graph, local_order);
+    // The join binds only solutions whose bucket multiset is this
+    // reducer's own; every other reducer holding these edges never binds
+    // them. The sink re-checks each emitted solution.
+    const Ownership ownership =
+        Ownership::ForBuckets(own, local.local_to_global, hasher);
     ReducerSink reducer_sink(
         local.local_to_global,
-        [&](std::span<const NodeId> global) {
-          // Keep solutions whose sorted bucket multiset matches this
-          // reducer; all other reducers holding these edges skip them.
-          std::vector<int> got;
-          got.reserve(global.size());
-          for (NodeId node : global) got.push_back(hasher.Bucket(node));
-          std::sort(got.begin(), got.end());
-          return got == own;
+        [&](std::span<const NodeId> local_assignment,
+            std::span<const NodeId>) {
+          ownership.RequireOwned(local_assignment, "bucket-oriented", key);
+          return true;
         },
         context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost, &ownership);
   };
 
   JobDriver driver(policy);
@@ -161,7 +163,7 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
     const CqEvaluator evaluator(local.graph, local_order);
     ReducerSink reducer_sink(
         local.local_to_global,
-        [&](std::span<const NodeId> global) {
+        [&](std::span<const NodeId>, std::span<const NodeId> global) {
           // Canonical-subset de-duplication, as for Partition triangles:
           // pad the instance's distinct groups with the smallest unused
           // group ids; only the canonical reducer emits.

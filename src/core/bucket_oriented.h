@@ -24,8 +24,11 @@ namespace smr {
 /// two bucket numbers plus any multiset of p-2 more.
 ///
 /// Each reducer evaluates the whole CQ set for S (Section 3) on its local
-/// subgraph and keeps the solutions whose bucket multiset is its own, so
-/// every instance is emitted exactly once.
+/// subgraph under an Ownership quota (cq/cq_evaluator.h), so its join only
+/// ever binds solutions whose bucket multiset is its own and every instance
+/// is emitted exactly once. Summed over all reducers, that keeps the
+/// computation cost within a constant factor of the serial algorithm's
+/// (Section 6).
 ///
 /// `cqs` must be the CQ set for `pattern` (from CqsForSample); it is taken
 /// as a parameter so callers can reuse it across runs. If `job` is

@@ -22,7 +22,9 @@ namespace smr {
 /// the union, which is precisely the logical OR of the arithmetic
 /// conditions (footnote 5 of the paper allows conditions that are not
 /// conjunctions of simple comparisons — they are applied as a selection at
-/// the end of the Reduce function).
+/// the end of the Reduce function). The comparison atoms every admissible
+/// order entails (Atoms().less) are necessary conditions, so CqEvaluator
+/// also prunes with them inside the join.
 class ConjunctiveQuery {
  public:
   ConjunctiveQuery(int num_vars, std::vector<std::pair<int, int>> subgoals,

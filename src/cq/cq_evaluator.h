@@ -3,14 +3,53 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
+#include <vector>
 
 #include "cq/conjunctive_query.h"
 #include "graph/graph.h"
 #include "graph/node_order.h"
 #include "mapreduce/instance_sink.h"
 #include "util/cost_model.h"
+#include "util/hashing.h"
 
 namespace smr {
+
+/// Restricts a join to the assignments one reducer owns. Every node of the
+/// evaluator's graph has a colour, and `quota[c]` is how many variables may
+/// be bound to nodes of colour c: binding a node spends one unit of its
+/// colour's quota, backtracking refunds it, and a node whose colour is
+/// exhausted is never bound. An evaluation under ownership therefore emits
+/// exactly the assignments of the unowned evaluation whose colour multiset
+/// is the quota, in the same order.
+///
+/// Contract, checked by every Evaluate/EvaluateAll call (std::
+/// invalid_argument otherwise):
+///  * `colour` has one entry per graph node, each in [0, quota.size());
+///  * every quota is nonnegative and they total the CQ's variable count;
+///  * colours are nondecreasing along the evaluator's node order, so each
+///    colour occupies one contiguous range of ranks. NodeOrder::ByBucket
+///    with colour = bucket satisfies this, and NodeOrder::Project keeps it.
+struct Ownership {
+  std::vector<int> colour;
+  std::vector<int> quota;
+
+  /// The ownership of a bucket-oriented reducer whose key is the sorted
+  /// bucket multiset `own`: the distinct buckets of `own`, ascending, are
+  /// the colours, their multiplicities the quota, and local node i (global
+  /// id `local_to_global[i]`) takes the colour of its bucket. Throws
+  /// std::invalid_argument if a node's bucket is not in `own`.
+  static Ownership ForBuckets(std::span<const int> own,
+                              std::span<const NodeId> local_to_global,
+                              const BucketHasher& hasher);
+
+  /// Throws std::logic_error naming `reducer` and `key` unless the colour
+  /// multiset of `assignment` is exactly the quota. Reducers call it on
+  /// every emitted assignment: the join already prunes to owned
+  /// assignments, so a failure is a bug, never a legitimate skip.
+  void RequireOwned(std::span<const NodeId> assignment,
+                    std::string_view reducer, uint64_t key) const;
+};
 
 /// Evaluates conjunctive queries over the single edge relation E of a data
 /// graph (each undirected edge stored once, oriented by a node order). This
@@ -20,23 +59,40 @@ namespace smr {
 /// The join is a backtracking expansion along the subgoals: the first
 /// subgoal is seeded from the full (oriented) edge list, each subsequent
 /// variable is drawn from the successor/predecessor lists of an
-/// already-bound variable, remaining subgoals become O(1) index probes, and
-/// the arithmetic condition is applied as a final selection, exactly as
-/// footnote 5 of the paper prescribes.
+/// already-bound variable, and remaining subgoals become O(1) index probes.
+///
+/// The selection is pushed into the join as far as it is sound. Each
+/// comparison atom X_a < X_b the condition entails (ConjunctiveQuery::
+/// Atoms().less) is a necessary condition, so it prunes at the step that
+/// binds its later variable. Successor lists ascend and predecessor lists
+/// descend by rank, so at an anchored step the atoms, the orientation of
+/// the subgoals checked there, and (under Ownership) the rank range of the
+/// colours that still have quota cut the candidate list to one contiguous
+/// window found by binary search; the CostCounter prices the candidates
+/// inside the window, not the O(log d) search. The exact order-set test
+/// (ConjunctiveQuery::OrderAllowed) stays the final selection, as footnote
+/// 5 of the paper prescribes, so OR-merged conditions and disequalities are
+/// still decided exactly. Pruning only removes branches that could not
+/// emit: the surviving assignments arrive in the same order as an
+/// unpruned join would produce them.
 class CqEvaluator {
  public:
   /// `graph` must outlive the evaluator; the order is copied.
   CqEvaluator(const Graph& graph, NodeOrder order);
 
-  /// Enumerates all solutions of `cq`; emits assignments (variable ->
-  /// data node) into `sink`. Returns the number of solutions.
+  /// Enumerates all solutions of `cq` (those owned by `ownership`, when
+  /// given); emits assignments (variable -> data node) into `sink`.
+  /// Returns the number of solutions.
   uint64_t Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
-                    CostCounter* cost) const;
+                    CostCounter* cost,
+                    const Ownership* ownership = nullptr) const;
 
   /// Evaluates every CQ in the set; the generation guarantees of Section 3
-  /// make the union produce each instance exactly once.
+  /// make the union produce each instance exactly once. The ownership
+  /// contract is checked once for the whole set.
   uint64_t EvaluateAll(std::span<const ConjunctiveQuery> cqs,
-                       InstanceSink* sink, CostCounter* cost) const;
+                       InstanceSink* sink, CostCounter* cost,
+                       const Ownership* ownership = nullptr) const;
 
   const Graph& graph() const { return *graph_; }
   const NodeOrder& order() const { return order_; }

@@ -194,22 +194,27 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
     const NodeOrder local_order =
         NodeOrder::Project(order, local.local_to_global);
     const CqEvaluator evaluator(local.graph, local_order);
+    // The join binds only solutions whose bucket multiset is this
+    // reducer's own, as in the unlabeled bucket-oriented reducer.
+    const Ownership ownership =
+        Ownership::ForBuckets(own, local.local_to_global, hasher);
 
-    // Sink: translate to global ids, check labels, check bucket multiset.
+    // Sink: re-check ownership, translate to global ids, check labels.
     class LabeledSink : public InstanceSink {
      public:
       LabeledSink(const Subgraph& local, const LabeledGraph& graph,
-                  const LabeledCq** current, const BucketHasher& hasher,
-                  const std::vector<int>& own, ReduceContext* context)
+                  const LabeledCq** current, const Ownership& ownership,
+                  uint64_t key, ReduceContext* context)
           : local_(local),
             graph_(graph),
             current_(current),
-            hasher_(hasher),
-            own_(own),
+            ownership_(ownership),
+            key_(key),
             context_(context) {}
 
       void Emit(std::span<const NodeId> assignment) override {
-        scratch_.assign(assignment.size(), 0);
+        ownership_.RequireOwned(assignment, "labeled bucket-oriented", key_);
+        scratch_.resize(assignment.size());
         for (size_t i = 0; i < assignment.size(); ++i) {
           scratch_[i] = local_.local_to_global[assignment[i]];
         }
@@ -221,11 +226,6 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
             return;
           }
         }
-        std::vector<int> got;
-        got.reserve(scratch_.size());
-        for (NodeId node : scratch_) got.push_back(hasher_.Bucket(node));
-        std::sort(got.begin(), got.end());
-        if (got != own_) return;
         context_->EmitInstance(scratch_);
       }
 
@@ -233,17 +233,17 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
       const Subgraph& local_;
       const LabeledGraph& graph_;
       const LabeledCq** current_;
-      const BucketHasher& hasher_;
-      const std::vector<int>& own_;
+      const Ownership& ownership_;
+      uint64_t key_;
       ReduceContext* context_;
       std::vector<NodeId> scratch_;
     };
 
     const LabeledCq* current = nullptr;
-    LabeledSink labeled_sink(local, graph, &current, hasher, own, context);
+    LabeledSink labeled_sink(local, graph, &current, ownership, key, context);
     for (const LabeledCq& lcq : cqs) {
       current = &lcq;
-      evaluator.Evaluate(lcq.cq, &labeled_sink, context->cost);
+      evaluator.Evaluate(lcq.cq, &labeled_sink, context->cost, &ownership);
     }
   };
 

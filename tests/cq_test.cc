@@ -1,14 +1,18 @@
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "core/strategy.h"
 #include "cq/conjunctive_query.h"
 #include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
+#include "labeled/labeled_graph.h"
 #include "tests/test_util.h"
 #include "util/combinatorics.h"
+#include "util/rng.h"
 
 namespace smr {
 namespace {
@@ -254,6 +258,176 @@ TEST(CqEvaluator, ToStringMentionsSubgoals) {
   const std::string text = cq.ToString({"X", "Y", "Z"});
   EXPECT_NE(text.find("E(X,Y)"), std::string::npos);
   EXPECT_NE(text.find("X<Y"), std::string::npos);
+}
+
+// ----------------------------------------------------------------- ownership
+
+/// Colour multiset of `assignment` (colour = bucket) as per-bucket counts.
+std::vector<int> BucketCounts(std::span<const NodeId> assignment,
+                              const BucketHasher& hasher) {
+  std::vector<int> counts(hasher.buckets(), 0);
+  for (const NodeId node : assignment) ++counts[hasher.Bucket(node)];
+  return counts;
+}
+
+class CqEvaluatorOwnership : public ::testing::TestWithParam<int> {};
+
+TEST_P(CqEvaluatorOwnership, EmitsExactlyTheOwnedAssignmentsInOrder) {
+  // The seven CqEvaluatorPatterns patterns, a disconnected one (an
+  // edge-seed step) and one with an isolated node (a free step). Under a
+  // bucket order with colour = bucket, the owned join must emit precisely
+  // the unowned join's assignments whose bucket multiset is the quota, in
+  // the same order.
+  const SampleGraph patterns[] = {
+      SampleGraph::Triangle(), SampleGraph::Square(),
+      SampleGraph::Lollipop(), SampleGraph::Cycle(5),
+      SampleGraph::Clique(4),  SampleGraph::Path(4),
+      SampleGraph::Star(4),    SampleGraph(4, {{0, 1}, {2, 3}}),
+      SampleGraph(3, {{0, 1}})};
+  const SampleGraph& pattern = patterns[GetParam()];
+  const auto cqs = CqsForSample(pattern);
+  const int p = pattern.num_vars();
+  Rng rng(100 + GetParam());
+  size_t owned_total = 0;
+  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+    const Graph g = ErdosRenyi(18, 50, seed);
+    const BucketHasher hasher(3, seed);
+    const CqEvaluator evaluator(g, NodeOrder::ByBucket(g.num_nodes(), hasher));
+    CollectingSink unowned;
+    evaluator.EvaluateAll(cqs, &unowned, nullptr);
+
+    Ownership ownership;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      ownership.colour.push_back(hasher.Bucket(u));
+    }
+    for (int trial = 0; trial < 6; ++trial) {
+      ownership.quota.assign(hasher.buckets(), 0);
+      for (int v = 0; v < p; ++v) {
+        ++ownership.quota[rng.Below(hasher.buckets())];
+      }
+      std::vector<std::vector<NodeId>> expected;
+      for (const auto& assignment : unowned.assignments()) {
+        if (BucketCounts(assignment, hasher) == ownership.quota) {
+          expected.push_back(assignment);
+        }
+      }
+      CollectingSink owned;
+      CostCounter owned_cost;
+      const uint64_t found =
+          evaluator.EvaluateAll(cqs, &owned, &owned_cost, &ownership);
+      EXPECT_EQ(owned.assignments(), expected)
+          << pattern.ToString() << " seed=" << seed << " trial=" << trial;
+      EXPECT_EQ(found, expected.size());
+      EXPECT_EQ(owned_cost.outputs, expected.size());
+      owned_total += expected.size();
+    }
+  }
+  EXPECT_GT(owned_total, 0u) << pattern.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Patterns, CqEvaluatorOwnership, ::testing::Range(0, 9));
+
+TEST(CqEvaluatorOwnership, RejectsContractViolations) {
+  const Graph g = ErdosRenyi(12, 30, 4);
+  const BucketHasher hasher(3, 4);
+  const CqEvaluator evaluator(g, NodeOrder::ByBucket(g.num_nodes(), hasher));
+  const auto cqs = CqsForSample(SampleGraph::Square());
+  Ownership valid;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    valid.colour.push_back(hasher.Bucket(u));
+  }
+  valid.quota = {2, 1, 1};
+  EXPECT_NO_THROW(evaluator.EvaluateAll(cqs, nullptr, nullptr, &valid));
+
+  // Colours that are not nondecreasing along the order: under the identity
+  // order, bucket colours are scrambled.
+  const CqEvaluator identity(g, NodeOrder::Identity(g.num_nodes()));
+  EXPECT_THROW(identity.EvaluateAll(cqs, nullptr, nullptr, &valid),
+               std::invalid_argument);
+
+  Ownership short_quota = valid;
+  short_quota.quota = {1, 1, 1};  // totals 3, the square has 4 variables
+  EXPECT_THROW(evaluator.EvaluateAll(cqs, nullptr, nullptr, &short_quota),
+               std::invalid_argument);
+  Ownership long_quota = valid;
+  long_quota.quota = {2, 2, 1};
+  EXPECT_THROW(evaluator.Evaluate(cqs[0], nullptr, nullptr, &long_quota),
+               std::invalid_argument);
+
+  Ownership short_colours = valid;
+  short_colours.colour.pop_back();
+  EXPECT_THROW(evaluator.EvaluateAll(cqs, nullptr, nullptr, &short_colours),
+               std::invalid_argument);
+
+  Ownership out_of_range = valid;
+  out_of_range.colour.back() = 3;
+  EXPECT_THROW(evaluator.EvaluateAll(cqs, nullptr, nullptr, &out_of_range),
+               std::invalid_argument);
+  out_of_range.colour.back() = -1;
+  EXPECT_THROW(evaluator.EvaluateAll(cqs, nullptr, nullptr, &out_of_range),
+               std::invalid_argument);
+}
+
+TEST(CqEvaluatorOwnership, RequireOwnedNamesTheReducerKey) {
+  const Ownership ownership{{0, 0, 1, 1}, {1, 1}};
+  const std::vector<NodeId> owned = {0, 2};
+  EXPECT_NO_THROW(ownership.RequireOwned(owned, "bucket-oriented", 17));
+  const std::vector<NodeId> foreign = {0, 1};
+  try {
+    ownership.RequireOwned(foreign, "bucket-oriented", 17);
+    ADD_FAILURE() << "an unowned assignment was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bucket-oriented reducer 17"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// FNV-1a over the bytes of every node id of every assignment, in order.
+uint64_t Fnv1a(const std::vector<std::vector<NodeId>>& assignments) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const auto& assignment : assignments) {
+    for (const NodeId node : assignment) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        hash ^= (node >> shift) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(CqEvaluatorOwnership, BucketInstanceStreamIsPinned) {
+  // Pruning inside the reducer join must not change which instances a
+  // bucket-oriented run emits, or their order. Pinned before the pruning
+  // existed.
+  const Graph graph = PreferentialAttachment(300, 4, 5);
+  CollectingSink sink;
+  StrategyRegistry::Global().Run(
+      EnumerationQuery::Undirected(SampleGraph::Square(), graph)
+          .WithStrategy("bucket:4")
+          .WithSeed(3)
+          .WithSink(&sink));
+  EXPECT_EQ(sink.assignments().size(), 3422u);
+  EXPECT_EQ(Fnv1a(sink.assignments()), 14362290505890692992ull);
+}
+
+TEST(CqEvaluatorOwnership, LabeledInstanceStreamIsPinned) {
+  const Graph skeleton = ErdosRenyi(120, 700, 11);
+  std::vector<LabeledEdge> edges;
+  for (const auto& [u, v] : skeleton.edges()) {
+    edges.push_back({u, v, static_cast<EdgeLabel>((u + v) % 2)});
+  }
+  const LabeledGraph graph(skeleton.num_nodes(), std::move(edges));
+  const LabeledSampleGraph square(
+      4, {{0, 1, 0}, {1, 2, 1}, {2, 3, 0}, {3, 0, 1}});
+  CollectingSink sink;
+  StrategyRegistry::Global().Run(EnumerationQuery::Labeled(square, graph)
+                                     .WithStrategy("labeled:3")
+                                     .WithSeed(3)
+                                     .WithSink(&sink));
+  EXPECT_EQ(sink.assignments().size(), 549u);
+  EXPECT_EQ(Fnv1a(sink.assignments()), 4487542350526535009ull);
 }
 
 }  // namespace
