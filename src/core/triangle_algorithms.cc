@@ -1,11 +1,15 @@
 #include "core/triangle_algorithms.h"
 
+#include <algorithm>
 #include <array>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "graph/intersect.h"
 #include "graph/node_order.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
@@ -126,8 +130,28 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
                                         JobMetrics* job) {
   if (buckets < 1) throw std::invalid_argument("buckets must be >= 1");
   const BucketHasher hasher(buckets, seed);
-  const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
+  const NodeId n = graph.num_nodes();
+  const NodeOrder order = NodeOrder::ByBucket(n, hasher);
   const uint64_t key_space = Binomial(buckets + 2, 3);
+
+  // Ranks are bucket-major: bucket t is the rank window
+  // [bucket_begin[t], bucket_begin[t + 1]). Built once per job, so the
+  // reducers never relabel or re-sort nodes.
+  std::vector<uint32_t> bucket_begin(buckets + 1, 0);
+  std::vector<NodeId> node_of_rank(n);
+  for (NodeId u = 0; u < n; ++u) {
+    ++bucket_begin[hasher.Bucket(u) + 1];
+    node_of_rank[order.Rank(u)] = u;
+  }
+  std::partial_sum(bucket_begin.begin(), bucket_begin.end(),
+                   bucket_begin.begin());
+  // The part of an ascending rank list that falls in bucket t.
+  auto window = [&](std::span<const NodeId> ranks, int t) {
+    const auto lo =
+        std::lower_bound(ranks.begin(), ranks.end(), bucket_begin[t]);
+    const auto hi = std::lower_bound(lo, ranks.end(), bucket_begin[t + 1]);
+    return std::span<const NodeId>(lo, hi);
+  };
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
     const Edge oriented = order.Orient(edge);
@@ -140,29 +164,81 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
     }
   };
 
+  // Reducer (t0 <= t1 <= t2) owns exactly the triangles u < v < w with u in
+  // bucket t0, v in t1 and w in t2, and enumerates only those: for each u
+  // in t0, each successor v in t1 and the successors w in t2 that u and v
+  // share. Every edge it receives is a side of such a triangle — the map
+  // sends a (t, t') edge only to triples holding t and t', where it is the
+  // t0 -> t1, t0 -> t2 or t1 -> t2 pair — so nothing is filtered.
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const std::array<int, 3> triple = UnrankTriple(key, buckets);
-    const Subgraph local = BuildSubgraph(values);
-    context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    CollectingSink local_sink;
-    EnumerateTriangles(local.graph, local_order, &local_sink, context->cost);
-    for (const auto& assignment : local_sink.assignments()) {
-      // Keep only triangles whose sorted bucket triple is this reducer's
-      // (other reducers see the same triangle's edges but skip it).
-      std::array<int, 3> got = {
-          hasher.Bucket(local.local_to_global[assignment[0]]),
-          hasher.Bucket(local.local_to_global[assignment[1]]),
-          hasher.Bucket(local.local_to_global[assignment[2]])};
-      std::sort(got.begin(), got.end());
-      if (got != triple) continue;
-      const std::array<NodeId, 3> global = {
-          local.local_to_global[assignment[0]],
-          local.local_to_global[assignment[1]],
-          local.local_to_global[assignment[2]]};
-      context->EmitInstance(global);
+    const auto [t0, t1, t2] = UnrankTriple(key, buckets);
+    CostCounter* cost = context->cost;
+    cost->edges_scanned += values.size();
+
+    std::vector<uint64_t> sides;
+    sides.reserve(values.size());
+    for (const auto& [u, v] : values) {
+      sides.push_back(PackPair(order.Rank(u), order.Rank(v)));
+    }
+    std::sort(sides.begin(), sides.end());
+
+    // CSR in rank space: row r lists the successor ranks of source rank
+    // sources[r], ascending.
+    std::vector<uint32_t> sources;
+    std::vector<size_t> offsets;
+    std::vector<NodeId> successors;
+    successors.reserve(sides.size());
+    size_t max_row = 0;
+    for (const uint64_t side : sides) {
+      const auto source = static_cast<uint32_t>(side >> 32);
+      if (sources.empty() || sources.back() != source) {
+        sources.push_back(source);
+        offsets.push_back(successors.size());
+      }
+      successors.push_back(static_cast<NodeId>(side));
+      max_row = std::max(max_row, successors.size() - offsets.back());
+    }
+    offsets.push_back(successors.size());
+    auto row = [&](size_t r) {
+      return std::span<const NodeId>(successors.data() + offsets[r],
+                                     successors.data() + offsets[r + 1]);
+    };
+    std::vector<NodeId> matches(max_row + kIntersectSlack);
+
+    // Sources lie in bucket t0 or later, so the t0 rows are a prefix; within
+    // one bucket rank order is id order, so u ascends by id as in the
+    // serial kernel and the emitted stream keeps its order.
+    for (size_t r = 0; r < sources.size() && sources[r] < bucket_begin[t0 + 1];
+         ++r) {
+      const NodeId u = node_of_rank[sources[r]];
+      const auto mids = window(row(r), t1);
+      const auto lasts = window(row(r), t2);
+      // EnumerateTriangles' units: the successors read, and one candidate
+      // and one probe per owned wedge (u, v, w) with v before w.
+      const uint64_t wedges =
+          t1 == t2 ? Binomial(static_cast<int64_t>(mids.size()), 2)
+                   : static_cast<uint64_t>(mids.size()) * lasts.size();
+      cost->edges_scanned += mids.size() + (t1 == t2 ? 0 : lasts.size());
+      cost->candidates += wedges;
+      cost->index_probes += wedges;
+      for (size_t i = 0; i < mids.size(); ++i) {
+        // v's row holds only ranks after v, so the t1 = t2 case needs no
+        // care; trimming u's list to ranks after v just shortens it.
+        const auto closers = t1 == t2 ? mids.subspan(i + 1) : lasts;
+        if (closers.empty()) continue;
+        const auto it =
+            std::lower_bound(sources.begin() + r + 1, sources.end(), mids[i]);
+        if (it == sources.end() || *it != mids[i]) continue;
+        const size_t count = IntersectInto(
+            closers, window(row(it - sources.begin()), t2), matches.data());
+        const NodeId v = node_of_rank[mids[i]];
+        for (size_t k = 0; k < count; ++k) {
+          const std::array<NodeId, 3> assignment = {u, v,
+                                                    node_of_rank[matches[k]]};
+          context->EmitInstance(assignment);
+        }
+      }
     }
   };
 
@@ -228,22 +304,21 @@ MapReduceMetrics PartitionTriangles(const Graph& graph, int num_groups,
                                    hasher.Bucket(global[1]),
                                    hasher.Bucket(global[2])};
       std::sort(groups.begin(), groups.end());
-      std::vector<int> distinct;
+      std::array<int, 3> canonical{};
+      int size = 0;
       for (int g : groups) {
-        if (distinct.empty() || distinct.back() != g) distinct.push_back(g);
+        if (size == 0 || canonical[size - 1] != g) canonical[size++] = g;
       }
-      for (int candidate = 0;
-           static_cast<int>(distinct.size()) < 3 && candidate < b;
-           ++candidate) {
+      for (int candidate = 0; size < 3 && candidate < b; ++candidate) {
         bool present = false;
-        for (int g : distinct) present |= (g == candidate);
-        if (!present) {
-          distinct.push_back(candidate);
-          std::sort(distinct.begin(), distinct.end());
+        for (int k = 0; k < size; ++k) present |= (canonical[k] == candidate);
+        if (present) continue;
+        int k = size++;  // insert in sorted position
+        for (; k > 0 && canonical[k - 1] > candidate; --k) {
+          canonical[k] = canonical[k - 1];
         }
+        canonical[k] = candidate;
       }
-      const std::array<int, 3> canonical = {distinct[0], distinct[1],
-                                            distinct[2]};
       if (canonical != own) continue;
       context->EmitInstance(global);
     }

@@ -47,6 +47,17 @@ MapReduceMetrics MultiwayJoinTriangles(
 /// The ordered-bucket algorithm of Section 2.3: nodes ordered by
 /// (bucket, id), so only the C(b+2,3) nondecreasing bucket triples need
 /// reducers and each edge is replicated exactly b times.
+///
+/// Reducer (t0 <= t1 <= t2) explores only the triangles it owns, u < v < w
+/// with u in bucket t0, v in t1 and w in t2. Ranks are bucket-major, so each
+/// bucket is one contiguous rank window (computed once per job); the reducer
+/// builds a rank-space CSR of its edges, takes u from the t0 window, v from
+/// u's successors in the t1 window, and intersects u's and v's successors in
+/// the t2 window. Its cost is counted in EnumerateTriangles' units (values
+/// and successors read, one candidate and one probe per owned wedge), so the
+/// reducers' summed candidates equal the serial kernel's under the same
+/// order. Emission order is that of the serial kernel run on each reducer's
+/// edges: u by id, then v and w by rank.
 MapReduceMetrics OrderedBucketTriangles(
     const Graph& graph, int buckets, uint64_t seed, InstanceSink* sink,
     const ExecutionPolicy& policy = ExecutionPolicy::Serial(),

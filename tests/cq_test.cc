@@ -383,20 +383,6 @@ TEST(CqEvaluatorOwnership, RequireOwnedNamesTheReducerKey) {
   }
 }
 
-/// FNV-1a over the bytes of every node id of every assignment, in order.
-uint64_t Fnv1a(const std::vector<std::vector<NodeId>>& assignments) {
-  uint64_t hash = 14695981039346656037ull;
-  for (const auto& assignment : assignments) {
-    for (const NodeId node : assignment) {
-      for (int shift = 0; shift < 32; shift += 8) {
-        hash ^= (node >> shift) & 0xffu;
-        hash *= 1099511628211ull;
-      }
-    }
-  }
-  return hash;
-}
-
 TEST(CqEvaluatorOwnership, BucketInstanceStreamIsPinned) {
   // Pruning inside the reducer join must not change which instances a
   // bucket-oriented run emits, or their order. Pinned before the pruning

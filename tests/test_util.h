@@ -1,6 +1,7 @@
 #ifndef SMR_TESTS_TEST_UTIL_H_
 #define SMR_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/sample_graph.h"
@@ -21,6 +22,21 @@ inline std::vector<InstanceKey> GroundTruthKeys(const SampleGraph& pattern,
   CollectingSink sink;
   EnumerateInstances(pattern, graph, &sink, nullptr);
   return KeysOf(sink, pattern);
+}
+
+/// FNV-1a over the bytes of every node id of every assignment, in order:
+/// a fingerprint of an emitted instance stream, order included.
+inline uint64_t Fnv1a(const std::vector<std::vector<NodeId>>& assignments) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const auto& assignment : assignments) {
+    for (const NodeId node : assignment) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        hash ^= (node >> shift) & 0xffu;
+        hash *= 1099511628211ull;
+      }
+    }
+  }
+  return hash;
 }
 
 }  // namespace smr

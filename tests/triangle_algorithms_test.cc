@@ -1,7 +1,10 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/triangle_algorithms.h"
 #include "graph/generators.h"
+#include "graph/node_order.h"
 #include "serial/triangles.h"
 #include "shares/replication_formulas.h"
 #include "tests/test_util.h"
@@ -118,22 +121,102 @@ TEST(TriangleAlgorithms, OrderedBucketUsesOnlyNondecreasingTriples) {
 }
 
 TEST(TriangleAlgorithms, ComputationCostIsConvertible) {
-  // Theorem 6.1 instantiated: total reducer operation count stays within a
-  // constant factor of the serial cost as b grows (here: it must not grow
-  // superlinearly with b).
-  const Graph g = ErdosRenyi(300, 2400, 17);
-  CostCounter serial_cost;
-  EnumerateTriangles(g, NodeOrder::Identity(g.num_nodes()), nullptr,
-                     &serial_cost);
-  const auto m4 = OrderedBucketTriangles(g, 4, 1, nullptr);
-  const auto m8 = OrderedBucketTriangles(g, 8, 1, nullptr);
-  const double ratio4 =
-      static_cast<double>(m4.reduce_cost.Total()) / serial_cost.Total();
-  const double ratio8 =
-      static_cast<double>(m8.reduce_cost.Total()) / serial_cost.Total();
-  // Reducer work is the same order as serial work (constant-factor
-  // overhead, not growing with the number of reducers).
-  EXPECT_LT(ratio8, 3 * ratio4 + 3);
+  // Theorem 6.1 instantiated: total reducer work stays within a small
+  // constant of the degree-ordered serial cost (the reducers explore
+  // exactly the same-order kernel's wedges, checked by
+  // OrderedBucketTriangles.ReducersExploreOnlyOwnedWedges).
+  const Graph g = ErdosRenyi(2000, 20000, 42);
+  const auto metrics = OrderedBucketTriangles(g, 12, 3, nullptr);
+  CostCounter degree_order;
+  EnumerateTriangles(g, NodeOrder::ByDegree(g), nullptr, &degree_order);
+  EXPECT_LE(static_cast<double>(metrics.reduce_cost.Total()),
+            3.0 * static_cast<double>(degree_order.Total()));
+}
+
+/// Graphs the ordered-bucket stream pins and pruning checks run on: two
+/// mid-sized graphs, one small enough that b = 40 leaves buckets empty, and
+/// an edgeless one.
+std::vector<Graph> OrderedBucketGraphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(ErdosRenyi(2000, 20000, 42));
+  graphs.push_back(PreferentialAttachment(1200, 6, 17));
+  graphs.push_back(ErdosRenyi(30, 100, 5));
+  graphs.push_back(Graph(50, {}));
+  return graphs;
+}
+
+constexpr int kOrderedBuckets[] = {1, 2, 5, 12, 40};
+
+struct StreamPin {
+  size_t graph;
+  int buckets;
+  size_t instances;
+  uint64_t fnv1a;
+};
+
+// Taken before the reducer enumerated only its owned triangles in rank
+// space; the emitted stream, order included, must not change.
+constexpr StreamPin kOrderedBucketPins[] = {
+    {0, 1, 1388, 16922295797178614840ull},
+    {0, 2, 1388, 5000814253382141636ull},
+    {0, 5, 1388, 4944024025591662104ull},
+    {0, 12, 1388, 14301758074364712244ull},
+    {0, 40, 1388, 986840627924906704ull},
+    {1, 1, 1836, 5434919201369587194ull},
+    {1, 2, 1836, 14050897963564588026ull},
+    {1, 5, 1836, 17870398964807534046ull},
+    {1, 12, 1836, 14038629846493579334ull},
+    {1, 40, 1836, 4798893655408218870ull},
+    {2, 1, 61, 28624127424263453ull},
+    {2, 2, 61, 8470587431845828157ull},
+    {2, 5, 61, 2148613945145716349ull},
+    {2, 12, 61, 11796136817853256989ull},
+    {2, 40, 61, 8181680648339636061ull},
+    {3, 1, 0, 14695981039346656037ull},
+    {3, 2, 0, 14695981039346656037ull},
+    {3, 5, 0, 14695981039346656037ull},
+    {3, 12, 0, 14695981039346656037ull},
+    {3, 40, 0, 14695981039346656037ull},
+};
+
+TEST(OrderedBucketTriangles, InstanceStreamIsPinned) {
+  const std::vector<Graph> graphs = OrderedBucketGraphs();
+  const ExecutionPolicy policies[] = {
+      ExecutionPolicy::Serial(),
+      ExecutionPolicy::WithThreads(4).WithBudget(64 * 1024)};
+  for (const StreamPin& pin : kOrderedBucketPins) {
+    for (const ExecutionPolicy& policy : policies) {
+      CollectingSink sink;
+      OrderedBucketTriangles(graphs[pin.graph], pin.buckets, 3, &sink,
+                             policy);
+      EXPECT_EQ(sink.assignments().size(), pin.instances)
+          << "graph " << pin.graph << " b=" << pin.buckets;
+      EXPECT_EQ(Fnv1a(sink.assignments()), pin.fnv1a)
+          << "graph " << pin.graph << " b=" << pin.buckets;
+    }
+  }
+}
+
+TEST(OrderedBucketTriangles, ReducersExploreOnlyOwnedWedges) {
+  // Every wedge (u, v, w), u < v < w in the bucket order, is owned by the
+  // one reducer keyed by its bucket triple, so the reducers' summed
+  // candidates and probes equal the serial kernel's under the same order.
+  for (const Graph& g : OrderedBucketGraphs()) {
+    for (const int b : kOrderedBuckets) {
+      const auto metrics = OrderedBucketTriangles(g, b, 3, nullptr);
+      CostCounter serial;
+      EnumerateTriangles(
+          g, NodeOrder::ByBucket(g.num_nodes(), BucketHasher(b, 3)), nullptr,
+          &serial);
+      EXPECT_EQ(metrics.reduce_cost.candidates, serial.candidates)
+          << "n=" << g.num_nodes() << " b=" << b;
+      EXPECT_EQ(metrics.reduce_cost.index_probes, serial.candidates)
+          << "n=" << g.num_nodes() << " b=" << b;
+      EXPECT_EQ(metrics.reduce_cost.outputs, serial.outputs)
+          << "n=" << g.num_nodes() << " b=" << b;
+      EXPECT_EQ(metrics.outputs, serial.outputs);
+    }
+  }
 }
 
 TEST(TriangleAlgorithms, SingleBucketDegeneratesToSerial) {
