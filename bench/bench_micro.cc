@@ -130,13 +130,13 @@ void BM_GraphConstruction(benchmark::State& state) {
 BENCHMARK(BM_GraphConstruction);
 
 /// Isolates the engine's shuffle: a round with trivial map/reduce work so
-/// that grouping 4M key-value pairs dominates. Arg 0 selects the shuffle
-/// (0 = sort, 1 = partitioned), arg 1 the partitioned shuffle's grouping
-/// (0 = stable_sort, 1 = counting scatter — the keys are dense in a
-/// declared 2^16 key space, the counting path's home turf), under
-/// ExecutionPolicy::MaxParallel(). The sort-vs-partitioned gap is the cost
-/// of the sort shuffle's serial O(C log C) barrier; the sort-group vs
-/// counting gap is the per-partition O(n log n) -> O(n) grouping win.
+/// that scattering and grouping 4M key-value pairs dominates. Arg 0 is the
+/// thread count (0 = one per hardware context, at least 2, so the parallel
+/// pipeline is what gets measured even on one core); arg 1 the partition
+/// count (1 = one global partition, 0 = auto). The keys are dense in a
+/// declared 2^16 key space, so every partition takes the counting scatter.
+/// P = 1 at 2+ threads shows the cost of grouping and reducing one
+/// partition on one worker; the threads = 1 rows time the serial round.
 void BM_EngineShuffle(benchmark::State& state) {
   const size_t n = 1 << 20;
   std::vector<int> inputs(n);
@@ -152,15 +152,13 @@ void BM_EngineShuffle(benchmark::State& state) {
                       ReduceContext* context) {
     context->cost->edges_scanned += values.size();
   };
-  // At least 2 workers even on a single hardware context, so the parallel
-  // shuffle paths (not the serial fallback) are what gets measured.
+  const unsigned threads =
+      state.range(0) > 0
+          ? static_cast<unsigned>(state.range(0))
+          : std::max(2u, ExecutionPolicy::MaxParallel().num_threads);
   const ExecutionPolicy policy =
-      ExecutionPolicy::WithThreads(
-          std::max(2u, ExecutionPolicy::MaxParallel().num_threads))
-          .WithShuffle(state.range(0) == 0 ? ShuffleMode::kSort
-                                           : ShuffleMode::kPartitioned)
-          .WithGroup(state.range(1) == 0 ? GroupMode::kSort
-                                         : GroupMode::kCounting);
+      ExecutionPolicy::WithThreads(threads).WithPartitions(
+          static_cast<unsigned>(state.range(1)));
   const RoundSpec<int, int> round{"shuffle-bench", map_fn, reduce_fn,
                                   key_space, {}};
   for (auto _ : state) {
@@ -170,10 +168,11 @@ void BM_EngineShuffle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineShuffle)
-    ->ArgNames({"partitioned", "counting"})
-    ->Args({0, 0})
+    ->ArgNames({"threads", "partitions"})
+    ->Args({1, 1})
     ->Args({1, 0})
-    ->Args({1, 1});
+    ->Args({0, 1})
+    ->Args({0, 0});
 
 /// Latency of waking the persistent pool for one parallel phase (the
 /// per-phase overhead a multi-round job pays after its first phase

@@ -1,12 +1,11 @@
 // Wall-clock comparison of the serial engine against the multi-threaded
-// engine's two shuffle implementations on reducer-heavy workloads
-// (bucket-oriented square and triangle enumeration, multiway-join
-// triangles). Results are identical by construction — the engine's
+// engine on reducer-heavy workloads (bucket-oriented square and triangle
+// enumeration, multiway-join triangles). Both run the same partitioned
+// pipeline; results are identical by construction — the engine's
 // determinism guarantee — so only wall-clock changes. On a single-core host
-// every speedup is ~1x; on an N-core host the sort shuffle is capped by its
-// serial O(C log C) global sort, while the partitioned shuffle scatters
-// during the map and sorts P key-range partitions independently, so its
-// speedup approaches min(N, #partitions).
+// every speedup is ~1x; on an N-core host the map workers scatter in
+// parallel and the P key-range partitions are grouped and reduced
+// independently, so the speedup approaches min(N, #partitions).
 
 #include <chrono>
 #include <cstdio>
@@ -37,29 +36,19 @@ double TimeMs(const Fn& fn, int repetitions) {
   return best;
 }
 
-/// Times `run(policy)` under the serial engine and both parallel shuffle
-/// modes, and checks the three output counts agree.
+/// Times `run(policy)` under the serial and the parallel policy, and checks
+/// the two output counts agree.
 template <typename Run>
 void Compare(const char* name, const ExecutionPolicy& parallel,
              const Run& run) {
-  uint64_t serial_out = 0, sort_out = 0, partitioned_out = 0;
+  uint64_t serial_out = 0, parallel_out = 0;
   const double serial_ms =
       TimeMs([&] { serial_out = run(ExecutionPolicy::Serial()); }, 3);
-  const double sort_ms = TimeMs(
-      [&] { sort_out = run(parallel.WithShuffle(ShuffleMode::kSort)); }, 3);
-  const double partitioned_ms = TimeMs(
-      [&] {
-        partitioned_out = run(parallel.WithShuffle(ShuffleMode::kPartitioned));
-      },
-      3);
-  const bool mismatch =
-      serial_out != sort_out || serial_out != partitioned_out;
-  std::printf(
-      "%-26s serial %8.2f ms | sort-shuffle %8.2f ms (%4.2fx) | "
-      "partitioned %8.2f ms (%4.2fx, %4.2fx vs sort)%s\n",
-      name, serial_ms, sort_ms, serial_ms / sort_ms, partitioned_ms,
-      serial_ms / partitioned_ms, sort_ms / partitioned_ms,
-      mismatch ? "  MISMATCH — BUG" : "");
+  const double parallel_ms =
+      TimeMs([&] { parallel_out = run(parallel); }, 3);
+  std::printf("%-26s serial %8.2f ms | parallel %8.2f ms (%4.2fx)%s\n",
+              name, serial_ms, parallel_ms, serial_ms / parallel_ms,
+              serial_out != parallel_out ? "  MISMATCH — BUG" : "");
 }
 
 /// The combine-on/off dimension, on the counting workload where the
@@ -95,9 +84,9 @@ void CompareCombine(const char* name, const Graph& g,
 void Run() {
   ExecutionPolicy parallel = ExecutionPolicy::MaxParallel();
   if (parallel.num_threads < 2) {
-    // A 1-thread policy would take the serial engine path and measure
-    // nothing; force 2 workers so the parallel shuffles are what runs
-    // (on a single core the speedups then mostly reflect overhead).
+    // A 1-thread policy would just repeat the serial column; force 2
+    // workers so the parallel pipeline is what runs (on a single core the
+    // speedups then mostly reflect overhead).
     parallel = ExecutionPolicy::WithThreads(2);
     std::printf("single hardware context: forcing 2 worker threads\n");
   }

@@ -34,7 +34,7 @@ namespace {
 
 constexpr const char kHelp[] = R"(usage:
   smr_cli --pattern <name> --input <spec> [--strategy <spec>] [--seed N]
-          [--threads N] [--shuffle S] [--group G] [--combine C]
+          [--threads N] [--shuffle S] [--combine C]
           [--budget B] [--backend K] [--retries R] [--deadline-ms MS]
           [--on-exhausted E] [--stats] [--print N]
   smr_cli --list-strategies
@@ -66,10 +66,9 @@ constexpr const char kHelp[] = R"(usage:
               lines starting with '#' are comments.
   --threads   engine worker threads (0 = one per hardware context;
               default 1). Results are identical for every value.
-  --shuffle   partition[:P] (default; P = partition count, default auto)
-              | sort (the single-global-sort reference shuffle).
-  --group     auto (default) | counting | sort: how the partitioned
-              shuffle groups each partition.
+  --shuffle   partition[:P]: the shuffle's key-range partition count
+              (default auto = 4 per thread, at most 256; partition:1 =
+              one global partition). Results are identical for every P.
   --combine   on (default) | off: apply declared map-side combiners.
   --budget    shuffle memory budget in bytes; byte-size suffixes accepted
               (64K, 512M, 2G). 0 (default) = unbounded. With a budget the
@@ -233,7 +232,7 @@ void ListBackends() {
       {{"thread", "--threads N", "modeled only",
         "none (workers share this process's fate)",
         "in-process worker threads; shuffle never serializes a pair "
-        "(sort, partitioned, and spill shuffles)"},
+        "(resident or spilling partitioned shuffle)"},
        {"process[:N]", "N forked processes", "measured per link",
         "--retries / --deadline-ms / --on-exhausted: deterministic "
         "re-execution of failed workers, liveness deadlines, optional "
@@ -281,7 +280,6 @@ int RunCli(int argc, char** argv) {
   std::string strategy = "bucket:8";
   std::string threads = "1";
   std::string shuffle = "partition";
-  std::string group = "auto";
   std::string combine = "on";
   std::string budget = "0";
   std::string backend = "thread";
@@ -319,8 +317,6 @@ int RunCli(int argc, char** argv) {
       threads = next();
     } else if (arg == "--shuffle") {
       shuffle = next();
-    } else if (arg == "--group") {
-      group = next();
     } else if (arg == "--combine") {
       combine = next();
     } else if (arg == "--budget") {
@@ -356,7 +352,7 @@ int RunCli(int argc, char** argv) {
   }
 
   const smr::ExecutionPolicy policy =
-      smr::PolicyFromSpecs(threads, shuffle, group, combine, budget, backend,
+      smr::PolicyFromSpecs(threads, shuffle, "auto", combine, budget, backend,
                            retries, deadline_ms, on_exhausted);
   const smr::StrategySpec spec = smr::ParseStrategySpec(strategy);
   const smr::Strategy& strat =

@@ -6,11 +6,9 @@
 
 #include "mapreduce/codec.h"
 #include "mapreduce/execution_policy.h"
+#include "mapreduce/local_round.h"
 #include "mapreduce/process_backend.h"
 #include "mapreduce/round.h"
-#include "mapreduce/shuffle_backend.h"
-#include "mapreduce/shuffle_spill_backend.h"
-#include "mapreduce/spill.h"
 
 namespace smr {
 
@@ -27,15 +25,15 @@ namespace smr {
 ///   strategies -> JobDriver (mapreduce/job.h)
 ///                   |  declared rounds
 ///                   v
-///   RunRound (this header) ------ mapper/reducer orchestration: picks ONE
-///                   |             shuffle backend per round from the policy
+///   RunRound (this header) ------ picks local or process per round
+///                   |
 ///                   v
-///   ShuffleBackend (mapreduce/shuffle_backend.h) -- transport/shuffle:
-///       sort | partitioned        in-memory (same header)
-///       spill                     paged spill store
-///                                 (mapreduce/shuffle_spill_backend.h)
-///       process                   forked workers over codec-framed sockets
-///                                 (mapreduce/process_backend.h)
+///   RunLocalRound (mapreduce/local_round.h) -- one partitioned pipeline
+///       on this process's threads: scatter into P key-range buckets,
+///       group (mapreduce/group_by_key.h) or merge spilled runs
+///       (mapreduce/spill.h) per partition, reduce, ordered replay
+///   ProcessShuffleBackend (mapreduce/process_backend.h) -- forked
+///       workers over codec-framed sockets
 ///                   |
 ///                   v
 ///   codec (mapreduce/codec.h) --- one serialization vocabulary: fixed-size
@@ -49,11 +47,11 @@ namespace smr {
 /// metrics; the low-level RunRound entry point below is what the driver
 /// calls.
 ///
-/// Every backend honors one contract, whatever the transport: the shuffle
+/// Both runners honor one contract, whatever the transport: the shuffle
 /// is fully deterministic — values arrive at each reducer in mapper
 /// emission order, reducers run in ascending key order — and metrics and
 /// sink emissions are byte-identical to the serial engine for every thread
-/// count, worker count, shuffle mode, partition count, and budget. Map and
+/// count, worker count, partition count, and budget. Map and
 /// reduce callbacks must therefore be re-entrant: they may mutate only
 /// their own locals and the ReduceContext/Emitter they are handed, never
 /// shared captured state. One narrow exception for reducers: because each
@@ -89,39 +87,14 @@ namespace smr {
 /// pre-aggregation is host-scheduling-dependent, which is why it lives
 /// with the other host-side shuffle stats outside metrics equality.
 
-/// Selects the one shuffle backend a round runs on, from the policy:
-///
-///   1. process  — policy.backend == BackendMode::kProcess and the value
-///                 type is codec-encodable (it must cross a process
-///                 boundary);
-///   2. spill    — a nonzero shuffle_budget_bytes and a spillable value
-///                 type: both in-memory modes routed through the paged
-///                 spill store;
-///   3. sort     — single-threaded rounds and ShuffleMode::kSort;
-///   4. partitioned — everything else (the parallel default).
-///
-/// Backends are stateless const singletons per (Input, Value)
-/// instantiation; the reference stays valid for the program's lifetime.
-template <typename Input, typename Value>
-const ShuffleBackend<Input, Value>& SelectShuffleBackend(
-    const ExecutionPolicy& policy) {
-  if constexpr (RecordCodec<Value>::kEncodable) {
-    if (policy.backend == BackendMode::kProcess) {
-      static const ProcessShuffleBackend<Input, Value> process;
-      return process;
-    }
-  }
-  // The in-memory tiers (spill/sort/partitioned) live with the spill
-  // backend so the process backend's thread fallback can select them
-  // without a dependency cycle through this header.
-  return SelectInMemoryShuffleBackend<Input, Value>(policy);
-}
-
 /// Runs one declared round. `sink` receives the reducers' final instances
 /// (EmitInstance), `records` the intermediate records (EmitRecord) a
 /// multi-round pipeline threads into its next round; either may be null.
-/// `policy` selects the host-side scheduling; results are identical for
-/// every thread count, shuffle mode, partition count, and grouping mode.
+/// `policy` selects the host-side scheduling — forked worker processes
+/// when it asks for BackendMode::kProcess and the value type is
+/// codec-encodable (it must cross a process boundary), the local round
+/// otherwise; results are identical for every thread count, partition
+/// count, budget, and backend.
 /// `expected_pairs` is a host-side reservation hint for the round's total
 /// emission count (0 = none; the spec's own `emissions_per_input` hint
 /// takes precedence) — a JobDriver passes the previous round's shipped
@@ -141,8 +114,14 @@ MapReduceMetrics RunRound(
     expected_pairs = static_cast<uint64_t>(
         spec.emissions_per_input * static_cast<double>(inputs.size()));
   }
-  return SelectShuffleBackend<Input, Value>(policy).RunRound(
-      spec, inputs, sink, records, policy, expected_pairs);
+  if constexpr (RecordCodec<Value>::kEncodable) {
+    if (policy.backend == BackendMode::kProcess) {
+      return ProcessShuffleBackend<Input, Value>().RunRound(
+          spec, inputs, sink, records, policy, expected_pairs);
+    }
+  }
+  return RunLocalRound<Input, Value>(spec, inputs, sink, records, policy,
+                                     expected_pairs);
 }
 
 }  // namespace smr

@@ -39,55 +39,15 @@ struct RetryPolicy {
 #define SMR_ON_EXHAUSTED_MODES(X)                                          \
   /* Throw the WorkerError (default). */                                   \
   X(kFail, 0, "fail")                                                      \
-  /* Re-run the whole round on the in-memory backend the policy would      \
-     otherwise select (spill/sort/partitioned) — graceful degradation for  \
-     callers that prefer a slower correct answer over an exception.        \
-     Results are identical by the backends' shared determinism contract;   \
-     ShuffleStats::thread_fallbacks records that it happened. */           \
+  /* Re-run the whole round as the local round (threads, plus the spill    \
+     store under a budget) — graceful degradation for callers that prefer  \
+     a slower correct answer over an exception. Results are identical by   \
+     the shared determinism contract; ShuffleStats::thread_fallbacks       \
+     records that it happened. */                                          \
   X(kFallbackThread, 1, "fallback")
 
 enum class OnExhausted { SMR_ON_EXHAUSTED_MODES(SMR_ENUM_DEFINE_ENTRY) };
 SMR_DEFINE_ENUM_TRAITS(OnExhausted, SMR_ON_EXHAUSTED_MODES);
-
-/// How the engine groups mapper emissions by key before the reduce phase.
-/// Both modes are deterministic and produce identical metrics and sink
-/// emissions; they differ only in host-side wall-clock behavior.
-/// Registered names are the policy_spec tokens ("partition" optionally
-/// takes a :P suffix, handled by the parser on top of the registry).
-#define SMR_SHUFFLE_MODES(X)                                               \
-  /* Concatenate every worker's emissions into one vector and run a        \
-     single global stable sort — a serial O(C log C) barrier. Kept as the  \
-     reference implementation and for A/B benchmarking. */                 \
-  X(kSort, 0, "sort")                                                      \
-  /* Scatter each map worker's emissions into P per-worker key-range       \
-     buckets; each of the P partitions is then independently concatenated  \
-     in worker order, stable-sorted, and reduced. No global barrier vector \
-     and no serial sort. */                                                \
-  X(kPartitioned, 1, "partition")
-
-enum class ShuffleMode { SMR_SHUFFLE_MODES(SMR_ENUM_DEFINE_ENTRY) };
-SMR_DEFINE_ENUM_TRAITS(ShuffleMode, SMR_SHUFFLE_MODES);
-
-/// How the partitioned shuffle groups each partition's pairs by key. Every
-/// mode yields the same grouped order (ascending key, emission order within
-/// a key); they differ only in host-side cost. See mapreduce/group_by_key.h.
-/// Registered names are the policy_spec tokens.
-#define SMR_GROUP_MODES(X)                                                 \
-  /* stable_sort every partition — the reference grouping (O(n log n)). */ \
-  X(kSort, 0, "sort")                                                      \
-  /* Counting scatter (histogram over the partition's key range, prefix    \
-     sum, stable scatter — O(n + range)) whenever the range is             \
-     representable; falls back to kSort only when the range is more than   \
-     64x the pair count or the partition exceeds 2^32 pairs. For           \
-     benchmarking the counting path on workloads known to be dense. */     \
-  X(kCounting, 1, "counting")                                              \
-  /* Counting scatter when the partition is dense enough (pairs >=         \
-     range / 4 — strategies keep reducer ranks dense in their declared     \
-     key_space, so their partitions qualify), stable_sort otherwise. */    \
-  X(kAuto, 2, "auto")
-
-enum class GroupMode { SMR_GROUP_MODES(SMR_ENUM_DEFINE_ENTRY) };
-SMR_DEFINE_ENUM_TRAITS(GroupMode, SMR_GROUP_MODES);
 
 /// Where a round's map and reduce workers run. Like every other policy
 /// knob this changes host behavior only — instances, order, and semantic
@@ -111,7 +71,7 @@ SMR_DEFINE_ENUM_TRAITS(BackendMode, SMR_BACKEND_MODES);
 /// How the simulated map-reduce engine schedules its work on the host.
 ///
 /// The policy changes only wall-clock behavior, never semantics: for every
-/// thread count, shuffle mode, and partition count the engine produces
+/// thread count, partition count, budget, and backend the engine produces
 /// byte-identical metrics and emits the same instances to the sink in the
 /// same order as the serial engine (reducers in ascending key order, values
 /// in mapper emission order).
@@ -120,23 +80,15 @@ struct ExecutionPolicy {
   /// inline on the calling thread (the original serial engine).
   unsigned num_threads = 1;
 
-  /// Shuffle implementation used when num_threads > 1 (a single-threaded
-  /// round always takes the plain sort path — it *is* the reference).
-  ShuffleMode shuffle = ShuffleMode::kPartitioned;
-
-  /// Partition count for ShuffleMode::kPartitioned. 0 = auto: a small
-  /// multiple of num_threads so that the dynamic partition queue keeps all
-  /// workers busy even when key ranges are skewed.
+  /// Key-range partition count of the shuffle (mapreduce/local_round.h).
+  /// 0 = auto: a small multiple of num_threads so that the dynamic
+  /// partition queue keeps all workers busy even when key ranges are
+  /// skewed. 1 = one global partition, grouped in a single pass.
   unsigned shuffle_partitions = 0;
 
-  /// How the partitioned shuffle groups each partition (sort-free counting
-  /// scatter on dense key ranges vs the reference stable_sort). Semantics
-  /// are identical in every mode.
-  GroupMode group = GroupMode::kAuto;
-
   /// Shuffle memory budget in bytes; 0 = unbounded (all emissions stay in
-  /// memory — the original engine). With a budget, both shuffle modes
-  /// route their emission buffers through the paged spill store
+  /// memory — the original engine). With a budget, the local round
+  /// routes its emission buffers through the paged spill store
   /// (mapreduce/spill.h): map workers spill stable-sorted runs to temp
   /// files whenever the job's resident shuffle bytes exceed the budget,
   /// and the reduce phase streams each partition back as a merge of its
@@ -215,23 +167,11 @@ struct ExecutionPolicy {
     return ExecutionPolicy{hw == 0 ? 1u : hw};
   }
 
-  /// Copy of this policy with a different shuffle mode / partition count
-  /// (builder style, so call sites stay one expression).
-  ExecutionPolicy WithShuffle(ShuffleMode mode) const {
-    ExecutionPolicy policy = *this;
-    policy.shuffle = mode;
-    return policy;
-  }
-
+  /// Copy of this policy with a different partition count (builder style,
+  /// so call sites stay one expression).
   ExecutionPolicy WithPartitions(unsigned partitions) const {
     ExecutionPolicy policy = *this;
     policy.shuffle_partitions = partitions;
-    return policy;
-  }
-
-  ExecutionPolicy WithGroup(GroupMode mode) const {
-    ExecutionPolicy policy = *this;
-    policy.group = mode;
     return policy;
   }
 
@@ -309,7 +249,7 @@ struct ExecutionPolicy {
     return static_cast<unsigned>(std::min<size_t>(configured, cap));
   }
 
-  /// Partition count the partitioned shuffle will actually use.
+  /// Partition count the shuffle will actually use.
   unsigned EffectivePartitions() const {
     if (shuffle_partitions > 0) return shuffle_partitions;
     // 4x oversubscription gives the dynamic queue slack to balance skewed

@@ -9,12 +9,10 @@
 #include <utility>
 #include <vector>
 
-#include "mapreduce/execution_policy.h"
-
 namespace smr {
 namespace engine_internal {
 
-/// Sort-free grouping for the partitioned shuffle.
+/// Sort-free grouping for the local round's resident partitions.
 ///
 /// The engine's strategies keep their reducer ranks *dense* in a declared
 /// key_space, which makes each partition's key range a small contiguous
@@ -33,20 +31,18 @@ namespace engine_internal {
 /// ascending order and each bucket in stored order, so equal keys land in
 /// exactly the order a worker-order concatenation + stable_sort would
 /// produce. Keys come out ascending because offsets are assigned in key
-/// order. Grouping mode therefore never changes results, only host cost.
+/// order. The choice of grouping therefore never changes results, only
+/// host cost.
 ///
-/// Sparse partitions (range more than a small multiple of the pair count —
+/// Sparse partitions (range more than kAutoSparsityCap x the pair count —
 /// stray keys clamped into the last partition can stretch the range
-/// arbitrarily) fall back to the reference concatenate + stable_sort path,
-/// as do partitions too large for the 32-bit histogram counters and Value
-/// types that cannot be default-constructed into the scatter buffer.
+/// arbitrarily) fall back to the concatenate + stable_sort path, as do
+/// partitions too large for the 32-bit histogram counters and Value types
+/// that cannot be default-constructed into the scatter buffer.
 
-/// Densities at which counting grouping engages: kAuto takes it when
-/// range <= kAutoSparsityCap x pairs (i.e. pairs >= range / 4); kCounting
-/// (forced) only refuses ranges beyond kForcedSparsityCap x pairs, where
-/// the histogram allocation would dwarf the data.
+/// Counting grouping engages when range <= kAutoSparsityCap x pairs
+/// (i.e. pairs >= range / 4).
 inline constexpr uint64_t kAutoSparsityCap = 4;
-inline constexpr uint64_t kForcedSparsityCap = 64;
 
 /// Groups one partition's per-worker buckets (in worker order — the serial
 /// emission order of the partition's key range) into `*out`: ascending key,
@@ -57,7 +53,7 @@ inline constexpr uint64_t kForcedSparsityCap = 64;
 template <typename Value>
 bool GroupByKey(
     std::span<std::vector<std::pair<uint64_t, Value>>* const> buckets,
-    size_t pair_count, GroupMode mode,
+    size_t pair_count,
     std::vector<std::pair<uint64_t, Value>>* out,
     std::vector<uint32_t>* counts) {
   using Pair = std::pair<uint64_t, Value>;
@@ -68,8 +64,7 @@ bool GroupByKey(
   uint64_t lo = std::numeric_limits<uint64_t>::max();
   uint64_t hi = 0;
   if constexpr (std::is_default_constructible_v<Value>) {
-    if (mode != GroupMode::kSort &&
-        pair_count <= std::numeric_limits<uint32_t>::max()) {
+    if (pair_count <= std::numeric_limits<uint32_t>::max()) {
       for (const auto* bucket : buckets) {
         for (const Pair& pair : *bucket) {
           lo = std::min(lo, pair.first);
@@ -79,9 +74,8 @@ bool GroupByKey(
       // spread = range - 1, which cannot overflow even for lo=0,
       // hi=UINT64_MAX (where range itself would).
       const uint64_t spread = hi - lo;
-      const uint64_t cap = mode == GroupMode::kCounting ? kForcedSparsityCap
-                                                        : kAutoSparsityCap;
-      use_counting = spread < cap * static_cast<uint64_t>(pair_count);
+      use_counting =
+          spread < kAutoSparsityCap * static_cast<uint64_t>(pair_count);
     }
   }
 

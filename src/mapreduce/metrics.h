@@ -14,7 +14,7 @@ namespace smr {
 
 /// Whether a metrics field is part of the simulated round's semantics
 /// (compared by operator==, pinned by goldens, byte-identical across every
-/// thread count, shuffle mode, budget, and backend) or host-side
+/// thread count, partition count, budget, and backend) or host-side
 /// diagnostics (observability of how the shuffle was scheduled — varies
 /// freely and is excluded from equality).
 enum class MetricsFieldClass { kSemantic, kDiagnostic };
@@ -27,12 +27,12 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
 /// static_assert in tests/mapreduce_test.cc, and an entry that uses any
 /// other classifier simply does not expand. All current fields are
 /// DIAGNOSTIC: they describe the *simulator's* scheduling (they vary with
-/// thread count, shuffle mode, budget, and backend), not properties of the
+/// thread count, partition count, budget, and backend), not properties of the
 /// simulated round — which is exactly why they are excluded from
 /// MapReduceMetrics equality. A field promoted to SEMANTIC automatically
 /// joins the equality fold via SemanticallyEqual below.
 #define SMR_SHUFFLE_STATS_FIELDS(SEMANTIC, DIAGNOSTIC)                     \
-  /* Partitions used by the partitioned shuffle (0 = sort shuffle). */     \
+  /* Key-range partitions of the local round (0 = process backend). */    \
   DIAGNOSTIC(uint64_t, partitions)                                         \
   /* Key-value pairs in the heaviest partition (shuffle-level skew). */    \
   DIAGNOSTIC(uint64_t, max_partition_pairs)                                \
@@ -44,10 +44,11 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
   DIAGNOSTIC(uint64_t, pairs_shipped)                                      \
   /* Bytes scattered through the shuffle (keys + values, post-combine). */ \
   DIAGNOSTIC(uint64_t, shuffle_bytes)                                      \
-  /* How the partitioned shuffle grouped its non-empty partitions:         \
+  /* How the local round grouped its non-empty resident partitions:       \
      `counting_partitions` took the O(n) counting scatter (dense key       \
-     range), `sorted_partitions` the stable_sort fallback. Both 0 for the  \
-     sort shuffle and for empty rounds. See mapreduce/group_by_key.h. */   \
+     range), `sorted_partitions` the stable_sort fallback. Both 0 for      \
+     budgeted rounds (merged, never grouped), the process backend, and     \
+     empty rounds. See mapreduce/group_by_key.h. */                        \
   DIAGNOSTIC(uint64_t, counting_partitions)                                \
   DIAGNOSTIC(uint64_t, sorted_partitions)                                  \
   /* Out-of-core accounting for budgeted rounds (ExecutionPolicy::         \
@@ -158,7 +159,7 @@ struct ShuffleStats {
   }
 
   /// Max partition load over mean partition load; 1.0 is perfectly
-  /// balanced. 0 when the round used the sort shuffle or moved no data.
+  /// balanced. 0 when the round was not partitioned or moved no data.
   double PartitionSkew(uint64_t total_pairs) const {
     if (partitions == 0 || total_pairs == 0) return 0.0;
     const double mean = static_cast<double>(total_pairs) /
@@ -256,7 +257,7 @@ struct MapReduceMetrics {
   /// measures) — generated from the field registry: SEMANTIC fields compare
   /// directly, the DIAGNOSTIC ShuffleStats aggregate through its own
   /// semantic subset (deliberately empty today). The engine's determinism
-  /// guarantee is that this holds for every thread count, shuffle mode,
+  /// guarantee is that this holds for every thread count, partition count,
   /// budget, and backend.
   bool operator==(const MapReduceMetrics& other) const {
 #define SMR_METRICS_COMPARE_SEMANTIC(type, name, label) name == other.name &&

@@ -51,31 +51,29 @@ ExecutionPolicy PolicyFromSpecs(std::string_view threads,
           ? ExecutionPolicy::MaxParallel()
           : ExecutionPolicy::WithThreads(static_cast<unsigned>(*thread_count));
 
-  // shuffle: a registered ShuffleMode name; "partition" additionally
-  // accepts an explicit :P count on top of the registry token.
+  // shuffle: "partition" with an optional :P count; group: "auto" only.
+  // The other tokens named removed modes, so their errors say so.
   const size_t shuffle_colon = shuffle.find(':');
-  const std::string_view shuffle_name = shuffle.substr(0, shuffle_colon);
-  if (EnumTraits<ShuffleMode>::FromName(shuffle_name) !=
-      ShuffleMode::kPartitioned) {
-    // Only "partition" takes a suffix; everything else must be a bare
-    // registered name ("sort:3" is rejected here, not silently accepted).
-    policy = policy.WithShuffle(
-        ParseEnumSpec<ShuffleMode>(shuffle, "shuffle (optionally :P)"));
-  } else {
-    policy = policy.WithShuffle(ShuffleMode::kPartitioned);
-    if (shuffle_colon != std::string_view::npos) {
-      // Everything after "partition:" must be a valid count — a trailing
-      // colon with nothing behind it is rejected, not defaulted.
-      const auto partitions = ParseInt64(shuffle.substr(shuffle_colon + 1));
-      if (!partitions || *partitions < 1 || *partitions > 1 << 20) {
-        PolicyError("shuffle partition:P needs P >= 1, got '" +
-                    std::string(shuffle) + "'");
-      }
-      policy = policy.WithPartitions(static_cast<unsigned>(*partitions));
+  if (shuffle.substr(0, shuffle_colon) != "partition") {
+    PolicyError("shuffle must be partition[:P] (the sort shuffle was "
+                "removed; partition:1 is its equivalent), got '" +
+                std::string(shuffle) + "'");
+  }
+  if (shuffle_colon != std::string_view::npos) {
+    // Everything after "partition:" must be a valid count — a trailing
+    // colon with nothing behind it is rejected, not defaulted.
+    const auto partitions = ParseInt64(shuffle.substr(shuffle_colon + 1));
+    if (!partitions || *partitions < 1 || *partitions > 1 << 20) {
+      PolicyError("shuffle partition:P needs P >= 1, got '" +
+                  std::string(shuffle) + "'");
     }
+    policy = policy.WithPartitions(static_cast<unsigned>(*partitions));
   }
 
-  policy = policy.WithGroup(ParseEnumSpec<GroupMode>(group, "group"));
+  if (group != "auto") {
+    PolicyError("group must be auto (the counting and sort grouping modes "
+                "were removed), got '" + std::string(group) + "'");
+  }
 
   if (combine == "off") {
     policy = policy.WithCombine(false);
@@ -143,15 +141,8 @@ std::string DescribePolicy(const ExecutionPolicy& policy) {
   std::ostringstream os;
   os << policy.num_threads
      << (policy.num_threads == 1 ? " thread, " : " threads, ");
-  if (policy.shuffle == ShuffleMode::kSort) {
-    os << "sort shuffle";
-  } else {
-    // Registry name tables keep this printer exhaustive: a new GroupMode
-    // is described here the moment it is registered.
-    os << "partitioned shuffle (" << policy.EffectivePartitions()
-       << " partitions, " << EnumTraits<GroupMode>::Name(policy.group)
-       << " grouping)";
-  }
+  os << policy.EffectivePartitions()
+     << (policy.EffectivePartitions() == 1 ? " partition" : " partitions");
   os << ", combine " << (policy.combine ? "on" : "off");
   if (policy.shuffle_budget_bytes > 0) {
     os << ", budget " << policy.shuffle_budget_bytes << " bytes";

@@ -14,9 +14,11 @@ namespace smr {
 /// running with 0). Specs:
 ///
 ///   threads  "N"               0 = one per hardware context
-///   shuffle  "partition[:P]"   P = partition count (default auto)
-///            "sort"            the single-global-sort reference
-///   group    "auto" | "counting" | "sort"
+///   shuffle  "partition[:P]"   P = key-range partition count (default
+///                              auto; 1 = one global partition). The
+///                              removed "sort" shuffle throws.
+///   group    "auto"            the only grouping; the removed "counting"
+///                              and "sort" modes throw
 ///   combine  "on" | "off"
 ///   budget   "0" | "BYTES"     shuffle memory budget; byte-size suffixes
 ///            ("64K", "512M", "2G") accepted, 0 = unbounded (never spill)
@@ -42,8 +44,8 @@ ExecutionPolicy PolicyFromSpecs(std::string_view threads,
                                 std::string_view deadline_ms = "",
                                 std::string_view on_exhausted = "fail");
 
-/// One-line human-readable summary ("4 threads, partitioned shuffle
-/// (16 partitions, auto grouping), combine on").
+/// One-line human-readable summary of what runs ("4 threads,
+/// 16 partitions, combine on", plus budget and process backend when set).
 std::string DescribePolicy(const ExecutionPolicy& policy);
 
 }  // namespace smr

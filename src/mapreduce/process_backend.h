@@ -20,9 +20,8 @@
 
 #include "mapreduce/codec.h"
 #include "mapreduce/fault_injection.h"
+#include "mapreduce/local_round.h"
 #include "mapreduce/round.h"
-#include "mapreduce/shuffle_backend.h"
-#include "mapreduce/shuffle_spill_backend.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/worker_error.h"
 
@@ -218,8 +217,8 @@ class FrameSink final : public InstanceSink {
 ///   * Escalation. A slot that exhausts max_attempts throws WorkerError
 ///     (mapreduce/worker_error.h) naming the fault kind, role, worker,
 ///     and attempt count. Under OnExhausted::kFallbackThread the round is
-///     rerun on the in-memory backend the policy would otherwise select
-///     instead — nothing has been emitted yet (reduce output is replayed
+///     rerun as the local round (mapreduce/local_round.h) instead —
+///     nothing has been emitted yet (reduce output is replayed
 ///     only after every worker succeeds), so the fallback cannot
 ///     duplicate emissions (ShuffleStats::thread_fallbacks records it).
 ///   * Injection. policy.fault_injector (or $SMR_FAULT_PLAN — see
@@ -253,7 +252,7 @@ class FrameSink final : public InstanceSink {
 /// side effects outside the emitted stream (files, global state) may run
 /// more than once.
 template <typename Input, typename Value>
-class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
+class ProcessShuffleBackend {
   static_assert(RecordCodec<Value>::kEncodable,
                 "process backend requires a codec-encodable value type");
   using Pair = std::pair<uint64_t, Value>;
@@ -279,26 +278,24 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
   };
 
  public:
-  const char* name() const override { return "process"; }
-
+  /// Runs one declared round; see engine.h's RunRound for the contract.
   MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
                             std::span<const Input> inputs, InstanceSink* sink,
                             InstanceSink* records,
                             const ExecutionPolicy& policy,
-                            uint64_t expected_pairs) const override {
+                            uint64_t expected_pairs) const {
     FaultCounters counters;
     try {
       return RunProcessRound(spec, inputs, sink, records, policy, &counters);
     } catch (const WorkerError&) {
       if (policy.on_exhausted != OnExhausted::kFallbackThread) throw;
-      // Graceful degradation: rerun the whole round on the in-memory
-      // backend the policy would select without BackendMode::kProcess.
-      // Safe against duplication because the process round emits nothing
-      // until every worker has succeeded; identical by the backends'
-      // shared determinism contract.
-      MapReduceMetrics metrics =
-          SelectInMemoryShuffleBackend<Input, Value>(policy).RunRound(
-              spec, inputs, sink, records, policy, expected_pairs);
+      // Graceful degradation: rerun the whole round as the local round
+      // the policy would run without BackendMode::kProcess. Safe against
+      // duplication because the process round emits nothing until every
+      // worker has succeeded; identical by the shared determinism
+      // contract.
+      MapReduceMetrics metrics = RunLocalRound<Input, Value>(
+          spec, inputs, sink, records, policy, expected_pairs);
       metrics.shuffle.worker_retries = counters.retries;
       metrics.shuffle.frames_discarded = counters.discarded;
       metrics.shuffle.deadline_kills = counters.deadline_kills;
@@ -624,8 +621,10 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
             sink->Emit(assignment);
             break;
           case FrameKind::kRecord:
+            // Never null here: CollectReduceWorker rejects record frames
+            // a round without a record sink did not request.
             DecodeNodeList(frame, r, &assignment);
-            records->Emit(assignment);
+            if (records != nullptr) records->Emit(assignment);
             break;
           case FrameKind::kMetrics:
             MergeMetricsFrame(frame, r, &metrics);

@@ -22,10 +22,11 @@ namespace smr {
 /// Round vocabulary: the types a strategy uses to *declare* a map-reduce
 /// round — RoundSpec (mapper/reducer/key space/combiner), the Emitter
 /// mappers emit through, the ReduceContext reducers emit through — plus
-/// the engine_internal helpers every shuffle backend is built from
-/// (ReduceRange, SliceBoundaries, RunWorkers). How a declared round is
-/// *executed* lives one layer up, in the shuffle backends
-/// (mapreduce/shuffle_backend.h) behind mapreduce/engine.h's RunRound.
+/// the engine_internal helpers both round runners are built from
+/// (ReduceGroups, SliceBoundaries, RunWorkers). How a declared round is
+/// *executed* lives one layer up, in the local round
+/// (mapreduce/local_round.h) and the process backend
+/// (mapreduce/process_backend.h) behind mapreduce/engine.h's RunRound.
 
 /// Routes a key to one of `partitions` contiguous, ascending key ranges.
 /// The mapping is monotone nondecreasing in the key — the invariant the
@@ -65,12 +66,12 @@ class KeyPartitioner {
 };
 
 /// Collects the key-value pairs emitted by a mapper: either into one flat
-/// vector (serial / sort shuffle) or scattered across one bucket per
-/// destination partition (partitioned shuffle). With a combiner, repeated
-/// emissions of a key fold into the key's existing pair instead of
-/// appending (map-side pre-aggregation); `emitted()` still counts every
-/// logical emission, which is what the round's communication-cost metric
-/// reports.
+/// vector (a process-backend map worker, or a test's reference round) or
+/// scattered across one bucket per destination partition (the local
+/// round). With a combiner, repeated emissions of a key fold into the
+/// key's existing pair instead of appending (map-side pre-aggregation);
+/// `emitted()` still counts every logical emission, which is what the
+/// round's communication-cost metric reports.
 template <typename Value>
 class Emitter {
  public:
@@ -207,37 +208,35 @@ struct RoundSpec {
 
 namespace engine_internal {
 
-/// Reduces the already-sorted pairs in [begin, end) — which must be aligned
-/// to key boundaries — accumulating reduce-phase counters into `metrics`,
-/// instances into `sink`, and intermediate records into `records`. With a
-/// combiner, each key's adjacent partials are folded (in their stored
-/// order, which is worker order = serial emission order) into the single
-/// value the reducer sees.
-template <typename Value>
-void ReduceRange(
-    const std::vector<std::pair<uint64_t, Value>>& pairs, size_t begin,
-    size_t end,
+/// The one reduce loop: pulls `(key, value)` pairs in grouped order
+/// (ascending key, emission order within a key) from `next` — a callable
+/// returning a pointer to the next pair, valid until the following call,
+/// or null when drained — and invokes the reducer once per key,
+/// accumulating reduce-phase counters into `metrics`, instances into
+/// `sink`, and intermediate records into `records`. With a combiner, each
+/// key's adjacent partials are folded (in their stored order, which is
+/// worker order = serial emission order) into the single value the
+/// reducer sees.
+template <typename Value, typename Next>
+void ReduceGroups(
+    const Next& next,
     const std::function<void(uint64_t key, std::span<const Value>,
                              ReduceContext*)>& reduce_fn,
     const std::function<void(Value&, const Value&)>* combiner,
     InstanceSink* sink, InstanceSink* records, MapReduceMetrics* metrics) {
   std::vector<Value> group;
-  size_t i = begin;
-  while (i < end) {
-    const uint64_t key = pairs[i].first;
+  const std::pair<uint64_t, Value>* pair = next();
+  while (pair != nullptr) {
+    const uint64_t key = pair->first;
     group.clear();
+    group.push_back(pair->second);
     if (combiner != nullptr) {
-      Value accumulated = pairs[i].second;
-      ++i;
-      while (i < end && pairs[i].first == key) {
-        (*combiner)(accumulated, pairs[i].second);
-        ++i;
+      while ((pair = next()) != nullptr && pair->first == key) {
+        (*combiner)(group.back(), pair->second);
       }
-      group.push_back(accumulated);
     } else {
-      while (i < end && pairs[i].first == key) {
-        group.push_back(pairs[i].second);
-        ++i;
+      while ((pair = next()) != nullptr && pair->first == key) {
+        group.push_back(pair->second);
       }
     }
     ++metrics->distinct_keys;
@@ -247,6 +246,22 @@ void ReduceRange(
     reduce_fn(key, std::span<const Value>(group), &context);
     metrics->outputs += context.outputs;
   }
+}
+
+/// ReduceGroups over the already-sorted pairs in [begin, end), which must
+/// be aligned to key boundaries.
+template <typename Value>
+void ReduceRange(
+    const std::vector<std::pair<uint64_t, Value>>& pairs, size_t begin,
+    size_t end,
+    const std::function<void(uint64_t key, std::span<const Value>,
+                             ReduceContext*)>& reduce_fn,
+    const std::function<void(Value&, const Value&)>* combiner,
+    InstanceSink* sink, InstanceSink* records, MapReduceMetrics* metrics) {
+  size_t i = begin;
+  ReduceGroups<Value>(
+      [&]() { return i < end ? &pairs[i++] : nullptr; }, reduce_fn,
+      combiner, sink, records, metrics);
 }
 
 /// Splits [0, size) into at most `parts` contiguous slices of near-equal

@@ -1,6 +1,6 @@
 // Map-side combiner property tests: on a counting workload, every engine
-// configuration (serial / sort / partitioned shuffle x 1/2/4/8 threads x
-// combine on/off) must produce identical reducer outputs — same sink
+// configuration (one global partition / automatic partitioning x 1/2/4/8
+// threads x combine on/off) must produce identical reducer outputs — same sink
 // emissions in the same order, same `outputs` metric — while combining
 // strictly lowers the physically shipped pair count
 // (ShuffleStats::pairs_shipped) and leaves the model communication cost
@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "mapreduce/job.h"
 #include "serial/triangles.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -24,12 +25,11 @@ namespace smr {
 namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 4, 8};
-const ShuffleMode kShuffleModes[] = {ShuffleMode::kSort,
-                                     ShuffleMode::kPartitioned};
+const unsigned kPartitionCounts[] = {1, 0 /* auto */};
 
 std::string Describe(const ExecutionPolicy& policy) {
-  return "threads=" + std::to_string(policy.num_threads) + " mode=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
+  return "threads=" + std::to_string(policy.num_threads) +
+         " partitions=" + std::to_string(policy.shuffle_partitions) +
          " combine=" + (policy.combine ? "on" : "off");
 }
 
@@ -72,19 +72,20 @@ TEST(Combiner, CountingWorkloadIdenticalOutputsFewerPairsShipped) {
   for (int& value : inputs) value = static_cast<int>(rng.Below(1 << 20));
   const RoundSpec<int, uint64_t> round = CountingRound(key_space);
 
-  // Reference: serial engine, combine off (raw 1s reach the reducers).
+  // Reference: the test-side reference round, combine off (raw 1s reach
+  // the reducers).
   CollectingSink reference_sink;
-  JobDriver reference_driver(ExecutionPolicy::Serial().WithCombine(false));
   const MapReduceMetrics reference =
-      reference_driver.RunRound(round, inputs, &reference_sink);
+      ReferenceRound(round, std::span<const int>(inputs), &reference_sink,
+                     nullptr, /*combine=*/false);
   ASSERT_GT(reference.outputs, 0u);
   EXPECT_EQ(reference.shuffle.pairs_shipped, reference.key_value_pairs);
 
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       for (const bool combine : {false, true}) {
         const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
-                                           .WithShuffle(mode)
+                                           .WithPartitions(partitions)
                                            .WithCombine(combine);
         CollectingSink sink;
         JobDriver driver(policy);
@@ -128,13 +129,12 @@ TEST(Combiner, CombinedMetricsDeterministicAcrossPolicies) {
   Rng rng(0xfeed);
   for (int& value : inputs) value = static_cast<int>(rng.Below(1 << 18));
 
-  JobDriver serial_driver(ExecutionPolicy::Serial());
   const MapReduceMetrics serial =
-      serial_driver.RunRound(round, inputs, nullptr);
+      ReferenceRound(round, std::span<const int>(inputs), nullptr);
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       const ExecutionPolicy policy =
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode);
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions);
       JobDriver driver(policy);
       EXPECT_EQ(driver.RunRound(round, inputs, nullptr), serial)
           << Describe(policy);
@@ -166,12 +166,12 @@ TEST(Combiner, NonCommutativeAssociativeCombinerKeepsEmissionOrderFold) {
     inputs[i] = static_cast<int>(1000 + i);
   }
   CollectingSink reference_sink;
-  JobDriver serial_driver{ExecutionPolicy::Serial()};
-  serial_driver.RunRound(round, inputs, &reference_sink);
+  ReferenceRound(round, std::span<const int>(inputs), &reference_sink);
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       CollectingSink sink;
-      JobDriver driver(ExecutionPolicy::WithThreads(threads).WithShuffle(mode));
+      JobDriver driver(
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
       driver.RunRound(round, inputs, &sink);
       EXPECT_EQ(sink.assignments(), reference_sink.assignments())
           << "threads=" << threads;

@@ -27,11 +27,10 @@ namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 8};
 
-// Both shuffle implementations must honor the determinism contract; the
-// strategy harness below runs each strategy under both at every thread
-// count.
-const ShuffleMode kShuffleModes[] = {ShuffleMode::kSort,
-                                     ShuffleMode::kPartitioned};
+// One global partition and automatic partitioning must both honor the
+// determinism contract; the strategy harness below runs each strategy
+// under both at every thread count.
+const unsigned kPartitionCounts[] = {1, 0 /* auto */};
 
 /// Runs one int round under `policy` through the declarative API.
 template <typename Map, typename Reduce>
@@ -86,11 +85,11 @@ TEST(EngineParallel, RawRoundIdenticalAcrossThreadCounts) {
   ASSERT_GT(serial.outputs, 0u);
 
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       CollectingSink sink;
       const MapReduceMetrics metrics = RunIntRound(
           inputs, map_fn, reduce_fn, &sink, 7,
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode));
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
       EXPECT_EQ(metrics, serial) << "threads=" << threads;
       // Emission order, not just multiset, must match the serial engine.
       EXPECT_EQ(sink.assignments(), serial_sink.assignments())
@@ -143,14 +142,15 @@ void ExpectStrategyDeterministic(const SampleGraph& pattern,
                                    "determinism check would be vacuous";
 
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       CollectingSink sink;
       const MapReduceMetrics metrics = strategy(
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode), &sink);
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions),
+          &sink);
       EXPECT_EQ(metrics, serial)
-          << "threads=" << threads << " sort=" << (mode == ShuffleMode::kSort);
+          << "threads=" << threads << " partitions=" << partitions;
       EXPECT_EQ(KeysOf(sink, pattern), serial_keys)
-          << "threads=" << threads << " sort=" << (mode == ShuffleMode::kSort);
+          << "threads=" << threads << " partitions=" << partitions;
     }
   }
 }

@@ -1,10 +1,11 @@
-// Seeded randomized property test for the engine's shuffle implementations:
-// arbitrary map/reduce functions run through the serial engine, the sort
-// shuffle, and the partitioned shuffle at 1/2/4/8 threads (and several
-// partition counts) must produce byte-identical metrics and identical sink
-// emissions in identical order — including the counting-sink fast path and
-// the exception path. This is the determinism contract the strategies and
-// every downstream experiment rest on.
+// Seeded randomized property test for the engine's shuffle: arbitrary
+// map/reduce functions run through the partitioned shuffle at 1/2/4/8
+// threads and several partition counts (1 = one global partition, auto,
+// 3, 64) must produce metrics and sink emissions byte-identical to the
+// test-side ReferenceRound (one serial map, one stable_sort) — including
+// the counting-sink fast path and the exception path. This is the
+// determinism contract the strategies and every downstream experiment
+// rest on.
 
 #include <cstdint>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "mapreduce/job.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -59,8 +61,7 @@ uint64_t KeyFor(const FuzzRound& spec, int input, int emission) {
   return h % spec.key_space;
 }
 
-MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
-                         InstanceSink* sink, const ExecutionPolicy& policy) {
+RoundSpec<int, int> MakeRound(const FuzzRound& spec) {
   auto map_fn = [spec](const int& input, Emitter<int>* out) {
     const unsigned emissions =
         SplitMix64(static_cast<uint64_t>(input) ^ spec.seed) % 4;
@@ -79,29 +80,28 @@ MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
       }
     }
   };
+  return RoundSpec<int, int>{"fuzz", map_fn, reduce_fn, spec.key_space, {}};
+}
+
+MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
+                         InstanceSink* sink, const ExecutionPolicy& policy) {
   JobDriver driver(policy);
-  return driver.RunRound(RoundSpec<int, int>{"fuzz", map_fn, reduce_fn,
-                                             spec.key_space, {}},
-                         inputs, sink);
+  return driver.RunRound(MakeRound(spec), inputs, sink);
 }
 
 std::vector<ExecutionPolicy> AllPolicies() {
   std::vector<ExecutionPolicy> policies;
   for (const unsigned threads : kThreadCounts) {
-    policies.push_back(
-        ExecutionPolicy::WithThreads(threads).WithShuffle(ShuffleMode::kSort));
     for (const unsigned partitions : kPartitionCounts) {
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithPartitions(partitions));
+      policies.push_back(
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
     }
   }
   return policies;
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  return "threads=" + std::to_string(policy.num_threads) + " mode=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
+  return "threads=" + std::to_string(policy.num_threads) +
          " partitions=" + std::to_string(policy.shuffle_partitions);
 }
 
@@ -125,8 +125,8 @@ TEST(EngineShuffleFuzz, AllEnginesAgreeOnRandomRounds) {
   for (const FuzzRound& spec : specs) {
     const std::vector<int> inputs = MakeInputs(spec);
     CollectingSink reference_sink;
-    const MapReduceMetrics reference =
-        RunSpec(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+    const MapReduceMetrics reference = ReferenceRound(
+        MakeRound(spec), std::span<const int>(inputs), &reference_sink);
 
     for (const ExecutionPolicy& policy : AllPolicies()) {
       CollectingSink sink;
@@ -148,7 +148,8 @@ TEST(EngineShuffleFuzz, CountingSinkPathMatchesBufferedPath) {
   const std::vector<int> inputs = MakeInputs(spec);
 
   CollectingSink reference_sink;
-  RunSpec(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+  ReferenceRound(MakeRound(spec), std::span<const int>(inputs),
+                 &reference_sink);
 
   for (const ExecutionPolicy& policy : AllPolicies()) {
     CountingSink counting;

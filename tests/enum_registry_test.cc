@@ -41,8 +41,6 @@ void ExpectRegistryRoundTrips() {
 TEST(EnumRegistry, AllPublicEnumsRoundTrip) {
   ExpectRegistryRoundTrips<WorkerErrorKind>();
   ExpectRegistryRoundTrips<FrameKind>();
-  ExpectRegistryRoundTrips<ShuffleMode>();
-  ExpectRegistryRoundTrips<GroupMode>();
   ExpectRegistryRoundTrips<BackendMode>();
   ExpectRegistryRoundTrips<OnExhausted>();
   ExpectRegistryRoundTrips<WorkerRole>();
@@ -55,8 +53,6 @@ TEST(EnumRegistry, AllPublicEnumsRoundTrip) {
 TEST(EnumRegistry, PinnedCounts) {
   EXPECT_EQ(EnumTraits<WorkerErrorKind>::kCount, 6u);
   EXPECT_EQ(EnumTraits<FrameKind>::kCount, 7u);
-  EXPECT_EQ(EnumTraits<ShuffleMode>::kCount, 2u);
-  EXPECT_EQ(EnumTraits<GroupMode>::kCount, 3u);
   EXPECT_EQ(EnumTraits<BackendMode>::kCount, 2u);
   EXPECT_EQ(EnumTraits<OnExhausted>::kCount, 2u);
   EXPECT_EQ(EnumTraits<WorkerRole>::kCount, 2u);
@@ -64,14 +60,13 @@ TEST(EnumRegistry, PinnedCounts) {
 }
 
 TEST(EnumRegistry, NameListsReadAsEnglish) {
-  EXPECT_EQ(EnumNameList<ShuffleMode>(), "sort or partition");
-  EXPECT_EQ(EnumNameList<GroupMode>(), "sort, counting, or auto");
+  EXPECT_EQ(EnumNameList<BackendMode>(), "thread or process");
   EXPECT_EQ(EnumNameList<FaultKind>(),
             "kill, stall, corrupt, spawnfail, or spillfail");
 }
 
 TEST(EnumRegistry, UnregisteredValuesNameAsUnknown) {
-  EXPECT_STREQ(EnumTraits<GroupMode>::Name(static_cast<GroupMode>(99)),
+  EXPECT_STREQ(EnumTraits<BackendMode>::Name(static_cast<BackendMode>(99)),
                "unknown");
   EXPECT_FALSE(EnumTraits<FrameKind>::IsValue(0));
   EXPECT_FALSE(EnumTraits<FrameKind>::IsValue(8));
@@ -84,28 +79,16 @@ TEST(EnumRegistry, UnregisteredValuesNameAsUnknown) {
 /// and this test keeps it holding if the parser ever grows a hand-rolled
 /// path again.
 TEST(EnumRegistry, PolicySpecAcceptsEveryRegisteredName) {
-  for (const ShuffleMode mode : EnumTraits<ShuffleMode>::kValues) {
-    const ExecutionPolicy policy =
-        PolicyFromSpecs("1", EnumTraits<ShuffleMode>::Name(mode), "auto",
-                        "on", "0", "thread", "0", "", "fail");
-    EXPECT_EQ(policy.shuffle, mode);
-  }
-  for (const GroupMode mode : EnumTraits<GroupMode>::kValues) {
-    const ExecutionPolicy policy =
-        PolicyFromSpecs("1", "sort", EnumTraits<GroupMode>::Name(mode), "on",
-                        "0", "thread", "0", "", "fail");
-    EXPECT_EQ(policy.group, mode);
-  }
   for (const BackendMode mode : EnumTraits<BackendMode>::kValues) {
     const ExecutionPolicy policy =
-        PolicyFromSpecs("1", "sort", "auto", "on", "0",
+        PolicyFromSpecs("1", "partition", "auto", "on", "0",
                         EnumTraits<BackendMode>::Name(mode), "0", "", "fail");
     EXPECT_EQ(policy.backend, mode);
   }
   for (const OnExhausted mode : EnumTraits<OnExhausted>::kValues) {
     const ExecutionPolicy policy =
-        PolicyFromSpecs("1", "sort", "auto", "on", "0", "thread", "0", "",
-                        EnumTraits<OnExhausted>::Name(mode));
+        PolicyFromSpecs("1", "partition", "auto", "on", "0", "thread", "0",
+                        "", EnumTraits<OnExhausted>::Name(mode));
     EXPECT_EQ(policy.on_exhausted, mode);
   }
 }
@@ -132,11 +115,11 @@ TEST(EnumRegistry, FaultPlanAcceptsEveryRegisteredName) {
 /// enum definition instead of drifting from it.
 TEST(EnumRegistry, ParserErrorsListRegisteredNames) {
   try {
-    PolicyFromSpecs("1", "sort", "bogus", "on", "0", "thread", "0", "",
+    PolicyFromSpecs("1", "partition", "auto", "on", "0", "bogus", "0", "",
                     "fail");
-    FAIL() << "bogus group spec must throw";
+    FAIL() << "bogus backend spec must throw";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("sort, counting, or auto"),
+    EXPECT_NE(std::string(e.what()).find("thread or process"),
               std::string::npos)
         << e.what();
   }

@@ -197,7 +197,7 @@ std::vector<uint32_t> Iota(size_t n) {
   return inputs;
 }
 
-TEST(FaultTolerance, RoundLevelKillsRecoverAcrossShuffleModesAndBudgets) {
+TEST(FaultTolerance, RoundLevelKillsRecoverAcrossPartitionCountsAndBudgets) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
@@ -205,8 +205,7 @@ TEST(FaultTolerance, RoundLevelKillsRecoverAcrossShuffleModesAndBudgets) {
   const MapReduceMetrics thread_metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
 
-  for (const ShuffleMode mode :
-       {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+  for (const unsigned partitions : {1u, 0u /* auto */}) {
     for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
       FaultInjector injector(
           ParseFaultPlan("map:kill:0:after=2;reduce:kill:1:after=1"));
@@ -214,11 +213,10 @@ TEST(FaultTolerance, RoundLevelKillsRecoverAcrossShuffleModesAndBudgets) {
       const MapReduceMetrics metrics =
           RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
                    FaultyPolicy(3, &injector)
-                       .WithShuffle(mode)
+                       .WithPartitions(partitions)
                        .WithBudget(budget));
-      const std::string label =
-          std::string(mode == ShuffleMode::kSort ? "sort" : "partitioned") +
-          " budget=" + std::to_string(budget);
+      const std::string label = "partitions=" + std::to_string(partitions) +
+                                " budget=" + std::to_string(budget);
       EXPECT_TRUE(metrics == thread_metrics) << label;
       EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
       EXPECT_EQ(metrics.shuffle.worker_retries, 2u) << label;

@@ -1,10 +1,11 @@
-// The sort-free grouping layer (mapreduce/group_by_key.h) and its policy
-// knob (GroupMode): unit tests of the counting scatter's stability and
-// fallback rule, a property-fuzz grid asserting byte-identical outputs,
-// order, and semantic metrics across sort/counting/auto grouping x 1/2/4/8
-// threads x combine on/off x both shuffle modes, the grouping-mode
-// ShuffleStats, and the empty-round short-circuit regression.
+// The sort-free grouping layer (mapreduce/group_by_key.h): unit tests of
+// the counting scatter's stability and its automatic sort fallback, a
+// property-fuzz grid asserting outputs, order, and semantic metrics
+// byte-identical to the test-side ReferenceRound across 1/2/4/8 threads x
+// one global partition or automatic partitioning x combine on/off, the
+// grouping ShuffleStats, and the empty-round short-circuit regression.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "mapreduce/group_by_key.h"
 #include "mapreduce/job.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -24,7 +26,7 @@ namespace {
 using Pair = std::pair<uint64_t, int>;
 
 std::vector<Pair> Group(std::vector<std::vector<Pair>> buckets,
-                        GroupMode mode, bool* counted) {
+                        bool* counted) {
   std::vector<std::vector<Pair>*> pointers;
   size_t total = 0;
   for (auto& bucket : buckets) {
@@ -34,15 +36,27 @@ std::vector<Pair> Group(std::vector<std::vector<Pair>> buckets,
   std::vector<Pair> out;
   std::vector<uint32_t> counts;
   *counted =
-      engine_internal::GroupByKey<int>(pointers, total, mode, &out, &counts);
+      engine_internal::GroupByKey<int>(pointers, total, &out, &counts);
+  return out;
+}
+
+/// Worker-order concatenation + stable_sort: the grouping every path must
+/// reproduce.
+std::vector<Pair> StableSorted(const std::vector<std::vector<Pair>>& buckets) {
+  std::vector<Pair> out;
+  for (const auto& bucket : buckets) {
+    out.insert(out.end(), bucket.begin(), bucket.end());
+  }
+  std::stable_sort(out.begin(), out.end(), [](const Pair& a, const Pair& b) {
+    return a.first < b.first;
+  });
   return out;
 }
 
 TEST(GroupByKey, CountingScatterIsStableAndAscending) {
   bool counted = false;
   const std::vector<Pair> grouped = Group(
-      {{{5, 1}, {3, 2}, {5, 3}}, {{3, 4}, {4, 5}, {5, 6}}}, GroupMode::kAuto,
-      &counted);
+      {{{5, 1}, {3, 2}, {5, 3}}, {{3, 4}, {4, 5}, {5, 6}}}, &counted);
   EXPECT_TRUE(counted);  // Range 3..5 is dense for 6 pairs.
   const std::vector<Pair> expected = {
       {3, 2}, {3, 4}, {4, 5}, {5, 1}, {5, 3}, {5, 6}};
@@ -53,37 +67,31 @@ TEST(GroupByKey, SparseRangeFallsBackToSortWithIdenticalResult) {
   const std::vector<std::vector<Pair>> buckets = {
       {{1000000000, 1}, {0, 2}}, {{1000000000, 3}}};
   bool counted = true;
-  const std::vector<Pair> sorted =
-      Group(buckets, GroupMode::kAuto, &counted);
+  const std::vector<Pair> sorted = Group(buckets, &counted);
   EXPECT_FALSE(counted);  // Spread 1e9 >> 4 * 3 pairs.
-  bool reference_counted = false;
-  EXPECT_EQ(sorted, Group(buckets, GroupMode::kSort, &reference_counted));
+  EXPECT_EQ(sorted, StableSorted(buckets));
   const std::vector<Pair> expected = {{0, 2}, {1000000000, 1},
                                       {1000000000, 3}};
   EXPECT_EQ(sorted, expected);
 }
 
 TEST(GroupByKey, ForcedCountingAcceptsModeratelySparseRanges) {
-  // Spread 100 with 3 pairs: beyond kAuto's 4x density bound, within
-  // kCounting's 64x representability cap.
+  // Spread 100 with 3 pairs: beyond the 4x density bound, so the
+  // automatic rule takes the sort fallback — with the same grouped order.
   const std::vector<std::vector<Pair>> buckets = {{{107, 1}, {7, 2}},
                                                   {{50, 3}}};
-  bool counted = false;
-  const std::vector<Pair> auto_grouped =
-      Group(buckets, GroupMode::kAuto, &counted);
+  bool counted = true;
+  const std::vector<Pair> grouped = Group(buckets, &counted);
   EXPECT_FALSE(counted);
-  const std::vector<Pair> forced =
-      Group(buckets, GroupMode::kCounting, &counted);
-  EXPECT_TRUE(counted);
-  EXPECT_EQ(forced, auto_grouped);
+  EXPECT_EQ(grouped, StableSorted(buckets));
 }
 
 TEST(GroupByKey, ForcedCountingStillRefusesAstronomicalRanges) {
-  // A stray radix key makes the range ~2^63; the forced mode must fall
-  // back to sort instead of attempting the histogram allocation.
+  // A stray radix key makes the range ~2^63; grouping must fall back to
+  // sort instead of attempting the histogram allocation.
   bool counted = true;
-  const std::vector<Pair> grouped = Group(
-      {{{uint64_t{1} << 63, 1}, {2, 2}}}, GroupMode::kCounting, &counted);
+  const std::vector<Pair> grouped =
+      Group({{{uint64_t{1} << 63, 1}, {2, 2}}}, &counted);
   EXPECT_FALSE(counted);
   const std::vector<Pair> expected = {{2, 2}, {uint64_t{1} << 63, 1}};
   EXPECT_EQ(grouped, expected);
@@ -91,13 +99,13 @@ TEST(GroupByKey, ForcedCountingStillRefusesAstronomicalRanges) {
 
 TEST(GroupByKey, EmptyPartition) {
   bool counted = true;
-  EXPECT_TRUE(Group({{}, {}}, GroupMode::kAuto, &counted).empty());
+  EXPECT_TRUE(Group({{}, {}}, &counted).empty());
   EXPECT_FALSE(counted);
 }
 
 // ---------------------------------------------------------------------------
-// Property grid: every (group mode, shuffle mode, threads, combine) cell
-// must reproduce the serial reference byte-for-byte.
+// Property grid: every (partitions, threads, combine) cell must reproduce
+// the reference round byte-for-byte.
 
 struct GridRound {
   uint64_t seed = 0;
@@ -145,15 +153,12 @@ RoundSpec<int, int> MakeRound(const GridRound& spec) {
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  const char* group = policy.group == GroupMode::kSort      ? "sort"
-                      : policy.group == GroupMode::kCounting ? "counting"
-                                                             : "auto";
-  return "threads=" + std::to_string(policy.num_threads) + " shuffle=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
-         " group=" + group + " combine=" + (policy.combine ? "on" : "off");
+  return "threads=" + std::to_string(policy.num_threads) +
+         " partitions=" + std::to_string(policy.shuffle_partitions) +
+         " combine=" + (policy.combine ? "on" : "off");
 }
 
-TEST(GroupingEquivalence, AllGroupModesMatchTheSerialReference) {
+TEST(GroupingEquivalence, EveryPartitioningMatchesTheReferenceRound) {
   const uint64_t key_spaces[] = {0, 1, 500, 40000};
   std::vector<GridRound> specs;
   Rng rng(0xbeef);
@@ -173,40 +178,34 @@ TEST(GroupingEquivalence, AllGroupModesMatchTheSerialReference) {
     for (int& v : inputs) v = static_cast<int>(value_rng.Below(1 << 20));
     const RoundSpec<int, int> round = MakeRound(spec);
 
-    // One serial reference per combine setting: combining changes what the
+    // One reference per combine setting: combining changes what the
     // reducer sees (one folded value), so max_reducer_input / reduce_cost
     // legitimately differ between on and off — but outputs never do.
     CollectingSink reference_sinks[2];
     MapReduceMetrics references[2];
     for (const bool combine : {false, true}) {
-      JobDriver reference_driver(
-          ExecutionPolicy::Serial().WithCombine(combine));
       references[combine] =
-          reference_driver.RunRound(round, inputs, &reference_sinks[combine]);
+          ReferenceRound(round, std::span<const int>(inputs),
+                         &reference_sinks[combine], nullptr, combine);
     }
     EXPECT_EQ(reference_sinks[0].assignments(),
               reference_sinks[1].assignments())
         << "combining changed results, key_space=" << spec.key_space;
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (const ShuffleMode shuffle :
-           {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-        for (const GroupMode group :
-             {GroupMode::kSort, GroupMode::kCounting, GroupMode::kAuto}) {
-          for (const bool combine : {true, false}) {
-            const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
-                                               .WithShuffle(shuffle)
-                                               .WithGroup(group)
-                                               .WithCombine(combine);
-            CollectingSink sink;
-            JobDriver driver(policy);
-            const MapReduceMetrics metrics =
-                driver.RunRound(round, inputs, &sink);
-            EXPECT_EQ(metrics, references[combine])
-                << Describe(policy) << " key_space=" << spec.key_space;
-            EXPECT_EQ(sink.assignments(), reference_sinks[combine].assignments())
-                << Describe(policy) << " key_space=" << spec.key_space;
-          }
+      for (const unsigned partitions : {1u, 0u /* auto */}) {
+        for (const bool combine : {true, false}) {
+          const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
+                                             .WithPartitions(partitions)
+                                             .WithCombine(combine);
+          CollectingSink sink;
+          JobDriver driver(policy);
+          const MapReduceMetrics metrics =
+              driver.RunRound(round, inputs, &sink);
+          EXPECT_EQ(metrics, references[combine])
+              << Describe(policy) << " key_space=" << spec.key_space;
+          EXPECT_EQ(sink.assignments(), reference_sinks[combine].assignments())
+              << Describe(policy) << " key_space=" << spec.key_space;
         }
       }
     }
@@ -227,31 +226,34 @@ TEST(GroupingStats, DenseRoundCountsEveryPartitionAndSortModeNone) {
     context->cost->edges_scanned += values.size();
   };
 
-  const ExecutionPolicy base = ExecutionPolicy::WithThreads(4);
-  JobDriver auto_driver(base.WithGroup(GroupMode::kAuto));
-  const MapReduceMetrics with_auto =
-      auto_driver.RunRound(round, inputs, nullptr);
-  EXPECT_GT(with_auto.shuffle.counting_partitions, 0u);
-  EXPECT_EQ(with_auto.shuffle.sorted_partitions, 0u);
+  // Dense reducer ranks: every non-empty partition takes the counting
+  // scatter.
+  const ExecutionPolicy policy = ExecutionPolicy::WithThreads(4);
+  JobDriver dense_driver(policy);
+  const MapReduceMetrics dense = dense_driver.RunRound(round, inputs, nullptr);
+  EXPECT_GT(dense.shuffle.counting_partitions, 0u);
+  EXPECT_EQ(dense.shuffle.sorted_partitions, 0u);
+  EXPECT_EQ(dense, ReferenceRound(round, std::span<const int>(inputs),
+                                  nullptr));
 
-  JobDriver sort_driver(base.WithGroup(GroupMode::kSort));
-  const MapReduceMetrics with_sort =
-      sort_driver.RunRound(round, inputs, nullptr);
-  EXPECT_EQ(with_sort.shuffle.counting_partitions, 0u);
-  EXPECT_GT(with_sort.shuffle.sorted_partitions, 0u);
-  EXPECT_EQ(with_auto, with_sort);
-
-  // The sort *shuffle* never partitions, so it reports neither.
-  JobDriver shuffle_sort_driver(base.WithShuffle(ShuffleMode::kSort));
-  const MapReduceMetrics sort_shuffle =
-      shuffle_sort_driver.RunRound(round, inputs, nullptr);
-  EXPECT_EQ(sort_shuffle.shuffle.counting_partitions, 0u);
-  EXPECT_EQ(sort_shuffle.shuffle.sorted_partitions, 0u);
+  // Stray keys far above the declared space land in the last partition and
+  // stretch its range past the density bound: that partition falls back
+  // to the stable sort, the others still count, and nothing else changes.
+  round.mapper = [](const int& v, Emitter<int>* out) {
+    const uint64_t h = SplitMix64(static_cast<uint64_t>(v));
+    out->Emit(v % 100 == 0 ? (uint64_t{1} << 40) + h % 7 : h % 512, v);
+  };
+  JobDriver stray_driver(policy);
+  const MapReduceMetrics stray = stray_driver.RunRound(round, inputs, nullptr);
+  EXPECT_GT(stray.shuffle.sorted_partitions, 0u);
+  EXPECT_GT(stray.shuffle.counting_partitions, 0u);
+  EXPECT_EQ(stray, ReferenceRound(round, std::span<const int>(inputs),
+                                  nullptr));
 }
 
 // ---------------------------------------------------------------------------
 // Satellite regression: a mapper that emits nothing must short-circuit the
-// round (no sort, no reduce dispatch) and still return coherent metrics.
+// round (no grouping, no reduce dispatch) and still return coherent metrics.
 
 TEST(EmptyRound, MapperEmittingNothingShortCircuits) {
   std::vector<int> inputs(500);
@@ -265,10 +267,9 @@ TEST(EmptyRound, MapperEmittingNothingShortCircuits) {
   };
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const ShuffleMode shuffle :
-         {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+    for (const unsigned partitions : {1u, 0u /* auto */}) {
       const ExecutionPolicy policy =
-          ExecutionPolicy::WithThreads(threads).WithShuffle(shuffle);
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions);
       CollectingSink sink;
       CountingSink counting;
       JobDriver driver(policy);
@@ -303,9 +304,8 @@ TEST(EmptyRound, EmptyInputSpanShortCircuits) {
     FAIL() << "reducer must not run without inputs";
   };
   const std::vector<int> inputs;
-  for (const ShuffleMode shuffle :
-       {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-    JobDriver driver(ExecutionPolicy::WithThreads(4).WithShuffle(shuffle));
+  for (const unsigned partitions : {1u, 0u /* auto */}) {
+    JobDriver driver(ExecutionPolicy::WithThreads(4).WithPartitions(partitions));
     const MapReduceMetrics metrics = driver.RunRound(round, inputs, nullptr);
     EXPECT_EQ(metrics.input_records, 0u);
     EXPECT_EQ(metrics.key_value_pairs, 0u);

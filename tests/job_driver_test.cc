@@ -61,12 +61,11 @@ TEST(JobDriver, TwoRoundPipelineDeterministicAcrossPolicies) {
   CollectingSink serial_sink;
   const TwoRoundMetrics serial = TwoRoundTriangles(g, order, &serial_sink);
   for (const unsigned threads : {2u, 8u}) {
-    for (const ShuffleMode mode :
-         {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+    for (const unsigned partitions : {1u, 0u /* auto */}) {
       CollectingSink sink;
       const TwoRoundMetrics parallel = TwoRoundTriangles(
           g, order, &sink,
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode));
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
       EXPECT_EQ(parallel.round1, serial.round1) << "threads=" << threads;
       EXPECT_EQ(parallel.round2, serial.round2) << "threads=" << threads;
       EXPECT_EQ(sink.assignments(), serial_sink.assignments())

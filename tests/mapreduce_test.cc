@@ -168,7 +168,7 @@ struct PerturbField {
 
 // Registry-driven regression pin for the determinism contract's fine
 // print: ShuffleStats is host-side observability (it legitimately varies
-// with thread counts, shuffle modes, budgets, and backends), so mutating
+// with thread counts, partition counts, budgets, and backends), so mutating
 // EVERY registered field — iterated via ForEachField, no field named by
 // hand — must leave MapReduceMetrics, and therefore JobMetrics, equal.
 // Each field's registered class must also match the pinned table above,

@@ -1,8 +1,8 @@
 // Differential and crash tests for the process backend
 // (mapreduce/process_backend.h): forked map/reduce workers over
 // codec-framed socketpairs must produce byte-identical instances, order,
-// and semantic metrics to the in-thread backends for every worker count,
-// shuffle mode, and spill budget — and a worker that dies or throws must
+// and semantic metrics to the local round for every worker count,
+// partition count, and spill budget — and a worker that dies or throws must
 // surface as a runtime_error naming the worker, never as a hang.
 
 #include <gtest/gtest.h>
@@ -82,12 +82,11 @@ TEST(ProcessBackend, MatchesThreadBackendAcrossWorkersModesAndBudgets) {
     ASSERT_GT(expected.instances, 0u) << test_case.strategy;
 
     for (const unsigned workers : {1u, 2u, 4u}) {
-      for (const ShuffleMode mode :
-           {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+      for (const unsigned partitions : {1u, 0u /* auto */}) {
         for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
           const ExecutionPolicy policy =
               ExecutionPolicy::Serial()
-                  .WithShuffle(mode)
+                  .WithPartitions(partitions)
                   .WithBudget(budget)
                   .WithBackend(BackendMode::kProcess, workers);
           const StrategyRun got =
@@ -95,9 +94,8 @@ TEST(ProcessBackend, MatchesThreadBackendAcrossWorkersModesAndBudgets) {
                           policy);
           const std::string label =
               std::string(test_case.strategy) + " workers=" +
-              std::to_string(workers) + " mode=" +
-              (mode == ShuffleMode::kSort ? "sort" : "partitioned") +
-              " budget=" + std::to_string(budget);
+              std::to_string(workers) + " partitions=" +
+              std::to_string(partitions) + " budget=" + std::to_string(budget);
           EXPECT_EQ(got.instances, expected.instances) << label;
           EXPECT_EQ(got.assignments, expected.assignments) << label;
           EXPECT_TRUE(got.metrics == expected.metrics) << label;

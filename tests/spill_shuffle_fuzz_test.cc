@@ -1,8 +1,9 @@
 // Differential property test for the memory-bounded spilling shuffle
 // (mapreduce/spill.h): random counting and enumeration workloads, run
-// under every budget x shuffle mode x thread count combination, must be
-// byte-identical — same sink emissions in the same order, same semantic
-// metrics — to the unbounded serial reference. The budget knob may change
+// under every budget x partition count x thread count combination, must
+// be byte-identical — same sink emissions in the same order, same semantic
+// metrics — to the unbounded reference (the test-side ReferenceRound for
+// the enumeration grid, the unbounded serial engine elsewhere). The budget knob may change
 // ShuffleStats' spill counters and nothing else; that exact equality is
 // the acceptance oracle of the spill subsystem.
 //
@@ -24,6 +25,7 @@
 
 #include "mapreduce/job.h"
 #include "mapreduce/spill.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -67,10 +69,7 @@ uint64_t KeyFor(const FuzzRound& spec, int input, int emission) {
 
 /// Enumeration-shaped round: several emissions per input, reducers emit
 /// instances for a value subset (order-sensitive through the sink).
-MapReduceMetrics RunEnumeration(const FuzzRound& spec,
-                                const std::vector<int>& inputs,
-                                InstanceSink* sink,
-                                const ExecutionPolicy& policy) {
+RoundSpec<int, int> EnumerationRound(const FuzzRound& spec) {
   auto map_fn = [spec](const int& input, Emitter<int>* out) {
     const unsigned emissions =
         SplitMix64(static_cast<uint64_t>(input) ^ spec.seed) % 4;
@@ -89,10 +88,16 @@ MapReduceMetrics RunEnumeration(const FuzzRound& spec,
       }
     }
   };
+  return RoundSpec<int, int>{"spill-fuzz-enum", map_fn, reduce_fn,
+                             spec.key_space, {}};
+}
+
+MapReduceMetrics RunEnumeration(const FuzzRound& spec,
+                                const std::vector<int>& inputs,
+                                InstanceSink* sink,
+                                const ExecutionPolicy& policy) {
   JobDriver driver(policy);
-  return driver.RunRound(RoundSpec<int, int>{"spill-fuzz-enum", map_fn,
-                                             reduce_fn, spec.key_space, {}},
-                         inputs, sink);
+  return driver.RunRound(EnumerationRound(spec), inputs, sink);
 }
 
 /// Counting-shaped round with a declared combiner: under a budget the
@@ -128,24 +133,18 @@ std::vector<ExecutionPolicy> BudgetedPolicies() {
   std::vector<ExecutionPolicy> policies;
   for (const unsigned threads : kThreadCounts) {
     for (const uint64_t budget : kBudgets) {
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kSort)
-                             .WithBudget(budget));
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithBudget(budget));
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithPartitions(3)
-                             .WithBudget(budget));
+      for (const unsigned partitions : {1u, 0u /* auto */, 3u}) {
+        policies.push_back(ExecutionPolicy::WithThreads(threads)
+                               .WithPartitions(partitions)
+                               .WithBudget(budget));
+      }
     }
   }
   return policies;
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  return "threads=" + std::to_string(policy.num_threads) + " mode=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
+  return "threads=" + std::to_string(policy.num_threads) +
          " partitions=" + std::to_string(policy.shuffle_partitions) +
          " budget=" + std::to_string(policy.shuffle_budget_bytes);
 }
@@ -197,8 +196,9 @@ TEST(SpillShuffleFuzz, EnumerationMatchesUnboundedReferenceExactly) {
   for (const FuzzRound& spec : specs) {
     const std::vector<int> inputs = MakeInputs(spec);
     CollectingSink reference_sink;
-    const MapReduceMetrics reference = RunEnumeration(
-        spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+    const MapReduceMetrics reference = ReferenceRound(
+        EnumerationRound(spec), std::span<const int>(inputs),
+        &reference_sink);
 
     for (const ExecutionPolicy& policy : BudgetedPolicies()) {
       CollectingSink sink;

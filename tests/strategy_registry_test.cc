@@ -555,12 +555,40 @@ TEST(StrategyRegistry, CensusFillsCountingSinksViaEmitCount) {
 
 TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
   const ExecutionPolicy policy =
-      PolicyFromSpecs("4", "partition:16", "counting", "off");
+      PolicyFromSpecs("4", "partition:16", "auto", "off");
   EXPECT_EQ(policy.num_threads, 4u);
-  EXPECT_EQ(policy.shuffle, ShuffleMode::kPartitioned);
   EXPECT_EQ(policy.EffectivePartitions(), 16u);
-  EXPECT_EQ(policy.group, GroupMode::kCounting);
   EXPECT_FALSE(policy.combine);
+  EXPECT_EQ(PolicyFromSpecs("2", "partition:1", "auto", "on")
+                .EffectivePartitions(),
+            1u);
+
+  // The sort shuffle and the counting / sort grouping modes were removed.
+  EXPECT_THROW(PolicyFromSpecs("1", "sort", "auto", "on"),
+               std::invalid_argument);
+  EXPECT_THROW(PolicyFromSpecs("1", "partition", "counting", "on"),
+               std::invalid_argument);
+  EXPECT_THROW(PolicyFromSpecs("1", "partition", "sort", "on"),
+               std::invalid_argument);
+  try {
+    PolicyFromSpecs("1", "sort", "auto", "on");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
+  try {
+    PolicyFromSpecs("1", "partition", "counting", "on");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+        << e.what();
+  }
+
+  // The description names what runs: threads, partitions, combine, and
+  // (when set) budget and backend — single-threaded rounds included.
+  EXPECT_EQ(DescribePolicy(ExecutionPolicy::Serial()),
+            "1 thread, 4 partitions, combine on");
+  EXPECT_EQ(DescribePolicy(ExecutionPolicy::WithThreads(4).WithPartitions(16)),
+            "4 threads, 16 partitions, combine on");
 
   EXPECT_THROW(PolicyFromSpecs("x", "partition", "auto", "on"),
                std::invalid_argument);

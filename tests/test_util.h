@@ -1,11 +1,16 @@
 #ifndef SMR_TESTS_TEST_UTIL_H_
 #define SMR_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/sample_graph.h"
 #include "mapreduce/instance_sink.h"
+#include "mapreduce/round.h"
 #include "serial/matcher.h"
 
 namespace smr {
@@ -37,6 +42,37 @@ inline uint64_t Fnv1a(const std::vector<std::vector<NodeId>>& assignments) {
     }
   }
   return hash;
+}
+
+/// Independent oracle for one declared round, kept apart from the
+/// engine's shuffle: every input is mapped serially into one flat pair
+/// vector (folding through the combiner when `combine` is on), the vector
+/// is grouped by a single std::stable_sort on the key, and the groups are
+/// reduced in order. Differential grids compare every ExecutionPolicy's
+/// metrics and emissions against this round.
+template <typename Input, typename Value>
+MapReduceMetrics ReferenceRound(
+    const RoundSpec<Input, Value>& spec,
+    std::span<const std::type_identity_t<Input>> inputs, InstanceSink* sink,
+    InstanceSink* records = nullptr, bool combine = true) {
+  using Pair = std::pair<uint64_t, Value>;
+  MapReduceMetrics metrics;
+  metrics.input_records = inputs.size();
+  metrics.key_space = spec.key_space;
+  const auto* combiner =
+      (combine && spec.combiner) ? &spec.combiner : nullptr;
+  std::vector<Pair> pairs;
+  Emitter<Value> emitter(&pairs, combiner);
+  for (const Input& input : inputs) spec.mapper(input, &emitter);
+  engine_internal::CountMapPhase<Value>(emitter.emitted(), pairs.size(),
+                                        &metrics);
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const Pair& a, const Pair& b) {
+                     return a.first < b.first;
+                   });
+  engine_internal::ReduceRange(pairs, 0, pairs.size(), spec.reducer,
+                               combiner, sink, records, &metrics);
+  return metrics;
 }
 
 }  // namespace smr

@@ -11,8 +11,8 @@ encodes an invariant the general-purpose tools cannot see:
                      exemptions live in HEADER_BUDGET_EXEMPT.
   determinism        No fork/rand/wall-clock nondeterminism outside the
                      whitelisted files. The engine's contract is
-                     byte-identical results across thread counts, shuffle
-                     modes, budgets, and backends; one stray
+                     byte-identical results across thread counts,
+                     partition counts, budgets, and backends; one stray
                      random_device or system_clock in a kernel breaks it
                      silently.
   env-doc            Every SMR_* environment variable read anywhere in
