@@ -81,9 +81,9 @@ constexpr const char kHelp[] = R"(usage:
               reports the bytes that crossed the kernel per worker link.
   --retries   extra attempts per failed process-backend worker (0-100,
               default 0 = fail fast). A crashed, hung, or corrupted-link
-              worker is re-forked on the same input slice / key chunk and
-              the failed attempt's partial output is discarded, so results
-              are identical to a fault-free run.
+              worker is re-forked on the same input slice / partition
+              group and the failed attempt's partial output is discarded,
+              so results are identical to a fault-free run.
   --deadline-ms
               per-worker liveness deadline in milliseconds for the process
               backend (0 = none; default 120000). A worker whose link

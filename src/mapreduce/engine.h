@@ -32,8 +32,10 @@ namespace smr {
 ///       on this process's threads: scatter into P key-range buckets,
 ///       group (mapreduce/group_by_key.h) or merge spilled runs
 ///       (mapreduce/spill.h) per partition, reduce, ordered replay
-///   ProcessShuffleBackend (mapreduce/process_backend.h) -- forked
-///       workers over codec-framed sockets
+///   ProcessShuffleBackend (mapreduce/process_backend.h) -- the same
+///       partitioned store, with forked map workers feeding it over
+///       codec-framed sockets and forked reduce workers each owning a
+///       contiguous group of partitions
 ///                   |
 ///                   v
 ///   codec (mapreduce/codec.h) --- one serialization vocabulary: fixed-size

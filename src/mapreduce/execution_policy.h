@@ -2,7 +2,9 @@
 #define SMR_MAPREDUCE_EXECUTION_POLICY_H_
 
 #include <algorithm>
+#include <climits>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -249,12 +251,27 @@ struct ExecutionPolicy {
     return static_cast<unsigned>(std::min<size_t>(configured, cap));
   }
 
-  /// Partition count the shuffle will actually use.
+  /// Partition count the shuffle will actually use. The process backend
+  /// hands each reduce worker a contiguous group of partitions, so it
+  /// never runs fewer partitions than configured worker processes.
   unsigned EffectivePartitions() const {
-    if (shuffle_partitions > 0) return shuffle_partitions;
     // 4x oversubscription gives the dynamic queue slack to balance skewed
     // key ranges; the cap bounds per-worker scatter-buffer overhead.
-    return std::min(std::max(1u, num_threads) * 4, 256u);
+    const unsigned partitions =
+        shuffle_partitions > 0 ? shuffle_partitions
+                               : std::min(std::max(1u, num_threads) * 4, 256u);
+    return backend == BackendMode::kProcess
+               ? std::max(partitions, EffectiveProcessWorkers(SIZE_MAX))
+               : partitions;
+  }
+
+  /// worker_deadline_ms as the millisecond timeout poll() takes: -1 (wait
+  /// forever) for 0, clamped to INT_MAX above it — a wider deadline must
+  /// not wrap negative and silently mean "no deadline".
+  int DeadlineTimeoutMs() const {
+    if (worker_deadline_ms == 0) return -1;
+    return static_cast<int>(std::min<uint32_t>(
+        worker_deadline_ms, static_cast<uint32_t>(INT_MAX)));
   }
 };
 

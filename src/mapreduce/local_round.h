@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -110,6 +111,18 @@ struct SpilledBuckets {
   uint64_t PairsIn(size_t t, unsigned p) const {
     return channels[t]->PairsInPartition(p);
   }
+
+  /// Swaps worker t's channel for an empty one — how the process backend
+  /// discards a failed map attempt; returns the pairs the old one held.
+  uint64_t Reopen(size_t t) {
+    const auto partitions =
+        static_cast<unsigned>(channels[t]->buckets()->size());
+    uint64_t pairs = 0;
+    for (unsigned p = 0; p < partitions; ++p) pairs += PairsIn(t, p);
+    channels[t] = std::make_unique<SpillChannel<Value>>(&pool, partitions);
+    return pairs;
+  }
+
   void CountSpills(ShuffleStats* stats) const {
     stats->pages_spilled = pool.pages_spilled();
     stats->bytes_spilled = pool.bytes_spilled();
@@ -137,6 +150,17 @@ struct SpilledBuckets {
   PagePool pool;
   std::vector<std::unique_ptr<SpillChannel<Value>>> channels;
 };
+
+/// Pairs each partition of `store` holds, summed over its map workers.
+template <typename Store>
+std::vector<uint64_t> PartitionPairs(const Store& store, size_t workers,
+                                     unsigned partitions) {
+  std::vector<uint64_t> pairs(partitions, 0);
+  for (unsigned p = 0; p < partitions; ++p) {
+    for (size_t t = 0; t < workers; ++t) pairs[p] += store.PairsIn(t, p);
+  }
+  return pairs;
+}
 
 /// The local round over either bucket store: map workers scatter their
 /// contiguous input slices into the store's P key-range buckets; reduce
@@ -179,17 +203,13 @@ MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
     worker_logical[t] = emitter.emitted();
   }, &metrics.shuffle);
 
-  std::vector<uint64_t> partition_pairs(partitions, 0);
-  uint64_t total_pairs = 0;
-  uint64_t logical_pairs = 0;
-  for (unsigned p = 0; p < partitions; ++p) {
-    for (unsigned t = 0; t < map_threads; ++t) {
-      partition_pairs[p] += store->PairsIn(t, p);
-    }
-    total_pairs += partition_pairs[p];
-  }
-  for (const uint64_t n : worker_logical) logical_pairs += n;
-  CountMapPhase<Value>(logical_pairs, total_pairs, &metrics);
+  const std::vector<uint64_t> partition_pairs =
+      PartitionPairs(*store, map_threads, partitions);
+  const uint64_t total_pairs = std::accumulate(
+      partition_pairs.begin(), partition_pairs.end(), uint64_t{0});
+  CountMapPhase<Value>(std::accumulate(worker_logical.begin(),
+                                       worker_logical.end(), uint64_t{0}),
+                       total_pairs, &metrics);
   store->CountSpills(&metrics.shuffle);
 
   // Empty round: nothing to group, no reduce workers worth dispatching.

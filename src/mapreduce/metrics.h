@@ -32,7 +32,7 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
 /// MapReduceMetrics equality. A field promoted to SEMANTIC automatically
 /// joins the equality fold via SemanticallyEqual below.
 #define SMR_SHUFFLE_STATS_FIELDS(SEMANTIC, DIAGNOSTIC)                     \
-  /* Key-range partitions of the local round (0 = process backend). */    \
+  /* Key-range partitions of the round's shuffle. */                      \
   DIAGNOSTIC(uint64_t, partitions)                                         \
   /* Key-value pairs in the heaviest partition (shuffle-level skew). */    \
   DIAGNOSTIC(uint64_t, max_partition_pairs)                                \

@@ -8,19 +8,27 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace smr {
 namespace process_internal {
 
 namespace {
 
-std::string Describe(const char* role, size_t index, pid_t pid, int status) {
-  std::string message = std::string(role) + " worker " +
-                        std::to_string(index) + " (pid " +
-                        std::to_string(pid) + ") ";
+/// Outcome of one link transfer under a liveness deadline.
+enum class IoStatus {
+  kOk,        // progress (for recv, *received == 0 means end of stream)
+  kPeerGone,  // send hit EPIPE/ECONNRESET: the worker died
+  kTimeout,   // no progress for the full deadline window
+};
+
+std::string Describe(const std::string& who, pid_t pid, int status) {
+  std::string message = who + " (pid " + std::to_string(pid) + ") ";
   if (WIFSIGNALED(status)) {
     message += "was killed by signal " + std::to_string(WTERMSIG(status));
   } else if (WIFEXITED(status)) {
@@ -52,17 +60,15 @@ bool AwaitReady(int fd, short events, int timeout_ms) {
   }
 }
 
-}  // namespace
-
-IoStatus SendAll(int fd, const unsigned char* data, size_t size,
-                 int timeout_ms) {
+/// Sends all of [data, data+size). With timeout_ms >= 0 every wait is a
+/// poll(POLLOUT) bounded by the deadline — the deadline is per *progress*,
+/// not per call, so a link that keeps accepting bytes never times out.
+/// SIGPIPE is suppressed (MSG_NOSIGNAL); throws on unexpected failures.
+IoStatus SendTimed(int fd, const unsigned char* data, size_t size,
+                   int timeout_ms) {
   size_t sent = 0;
   while (sent < size) {
-    // The deadline is a *progress* deadline: every poll waits the full
-    // timeout again, so only a link with no send-buffer room for
-    // timeout_ms straight (a peer that stopped reading) times out.
     if (!AwaitReady(fd, POLLOUT, timeout_ms)) return IoStatus::kTimeout;
-    // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not SIGPIPE.
     // MSG_DONTWAIT under a deadline: the poll above is the only wait.
     const ssize_t n = send(fd, data + sent, size - sent,
                            MSG_NOSIGNAL | (timeout_ms >= 0 ? MSG_DONTWAIT : 0));
@@ -77,15 +83,17 @@ IoStatus SendAll(int fd, const unsigned char* data, size_t size,
   return IoStatus::kOk;
 }
 
-IoStatus RecvSome(int fd, unsigned char* out, size_t capacity, int timeout_ms,
-                  size_t* received) {
+/// Reads up to `capacity` bytes under the same deadline discipline; kOk
+/// with *received == 0 is end of stream.
+IoStatus RecvTimed(int fd, unsigned char* out, size_t capacity,
+                   int timeout_ms, size_t* received) {
   *received = 0;
   while (true) {
     if (!AwaitReady(fd, POLLIN, timeout_ms)) return IoStatus::kTimeout;
     const ssize_t n =
         recv(fd, out, capacity, timeout_ms >= 0 ? MSG_DONTWAIT : 0);
-    if (n >= 0) {  // n == 0 is end of stream; the caller's end-of-stream
-                   // bookkeeping decides whether that is a crash
+    if (n >= 0) {  // n == 0 is end of stream; the caller decides whether
+                   // that is a crash
       *received = static_cast<size_t>(n);
       return IoStatus::kOk;
     }
@@ -96,50 +104,270 @@ IoStatus RecvSome(int fd, unsigned char* out, size_t capacity, int timeout_ms,
   }
 }
 
-bool SendAll(int fd, const unsigned char* data, size_t size) {
-  return SendAll(fd, data, size, /*timeout_ms=*/-1) == IoStatus::kOk;
-}
-
-size_t RecvSome(int fd, unsigned char* out, size_t capacity) {
-  size_t received = 0;
-  RecvSome(fd, out, capacity, /*timeout_ms=*/-1, &received);
-  return received;
-}
-
-void ChildFailAndExit(int fd, const char* what) {
+/// Child-side failure path: ship the message as a kError frame (best
+/// effort, truncated to fit any link's frame limit) and _exit(1).
+[[noreturn]] void ChildFailAndExit(int fd, const char* what) {
   std::vector<unsigned char> wire;
-  // Truncate pathological messages so the error frame always fits under
-  // the coordinator's per-link frame limit.
   const size_t length = std::min<size_t>(std::strlen(what), 2048);
   AppendFrame(FrameKind::kError,
               reinterpret_cast<const unsigned char*>(what), length, &wire);
-  SendAll(fd, wire.data(), wire.size());  // best effort: parent may be gone
+  SendTimed(fd, wire.data(), wire.size(), -1);  // best effort
   _exit(1);
 }
 
-void ChildFaultAndHang(FaultKind kind) {
-  if (kind == FaultKind::kStallLink) {
-    // Keep the link open but silent: only the coordinator's progress
-    // deadline can clear this worker.
-    while (true) pause();
+/// Sleep before retrying after `failed_attempts` failures:
+/// base * multiplier^(failed_attempts - 1), capped at 10 s.
+void Backoff(const RetryPolicy& retry, unsigned failed_attempts) {
+  if (retry.base_backoff_ms == 0 || failed_attempts == 0) return;
+  const double factor =
+      std::pow(std::max(1.0, retry.backoff_multiplier),
+               static_cast<double>(failed_attempts - 1));
+  const double ms = std::min(
+      static_cast<double>(retry.base_backoff_ms) * factor, 10'000.0);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(static_cast<long>(ms)));
+}
+
+/// The one decoder of a whole-body varint sequence: `count` varints, or
+/// with count == 0 a leading arity varint followed by that many. Returns
+/// false on malformed or trailing bytes.
+bool DecodeVarints(const FrameView& frame, size_t count,
+                   std::vector<uint64_t>* out) {
+  out->clear();
+  size_t position = 0;
+  const bool arity_first = count == 0;
+  if (arity_first) count = 1;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t value = 0;
+    size_t used = 0;
+    if (GetVarint(frame.body + position, frame.body_bytes - position, &value,
+                  &used) != DecodeStatus::kOk) {
+      return false;
+    }
+    position += used;
+    if (arity_first && i == 0) {
+      // Every varint takes a byte, so a larger arity is corrupt.
+      if (value > frame.body_bytes - position) return false;
+      count += static_cast<size_t>(value);
+      continue;
+    }
+    out->push_back(value);
   }
-  raise(SIGKILL);
-  _exit(137);  // unreachable; keeps [[noreturn]] honest if SIGKILL races
+  return position == frame.body_bytes;
 }
 
-void CorruptFrameKindByte(std::vector<unsigned char>* wire,
-                          size_t frame_start) {
-  // Skip the length varint's continuation bytes; the kind byte follows
-  // the final varint byte. 0xee is no FrameKind, so the receiver's strict
-  // decode must reject the stream — deterministically.
-  size_t i = frame_start;
-  while (i < wire->size() && ((*wire)[i] & 0x80) != 0) ++i;
-  const size_t kind_at = i + 1;
-  if (kind_at < wire->size()) (*wire)[kind_at] = 0xee;
+/// Rolling strict decode window over one link: Next() returns kOk or
+/// kNeedMore and throws std::runtime_error on corrupt bytes. A FrameView
+/// aliases the buffer and is valid until the next Append.
+class FrameBuffer {
+ public:
+  explicit FrameBuffer(uint64_t frame_limit = kMaxFrameBytes)
+      : frame_limit_(frame_limit) {}
+
+  void Append(const unsigned char* data, size_t size) {
+    if (position_ > 0) {
+      bytes_.erase(bytes_.begin(),
+                   bytes_.begin() + static_cast<ptrdiff_t>(position_));
+      position_ = 0;
+    }
+    bytes_.insert(bytes_.end(), data, data + size);
+  }
+
+  DecodeStatus Next(FrameView* frame) {
+    size_t consumed = 0;
+    const DecodeStatus status = DecodeFrameChecked(
+        bytes_.data() + position_, bytes_.size() - position_,
+        /*closed=*/false, frame_limit_, frame, &consumed);
+    if (status == DecodeStatus::kOk) position_ += consumed;
+    return status;
+  }
+
+  bool Drained() const { return position_ >= bytes_.size(); }
+
+ private:
+  uint64_t frame_limit_;
+  std::vector<unsigned char> bytes_;
+  size_t position_ = 0;
+};
+
+/// Reducer sink that appends each emission as one frame ([varint
+/// arity][varint node]*) to a shared buffer, so instances and records
+/// interleave in emission order; `starts` (optional) records every
+/// frame's offset for ShipStream.
+class FrameSink final : public InstanceSink {
+ public:
+  FrameSink(FrameKind kind, std::vector<unsigned char>* out,
+            std::vector<size_t>* starts)
+      : kind_(kind), out_(out), starts_(starts) {}
+
+  void Emit(std::span<const NodeId> assignment) override {
+    if (starts_ != nullptr) starts_->push_back(out_->size());
+    scratch_.clear();
+    AppendVarint(assignment.size(), &scratch_);
+    for (const NodeId node : assignment) AppendVarint(node, &scratch_);
+    AppendFrame(kind_, scratch_.data(), scratch_.size(), out_);
+  }
+
+ private:
+  FrameKind kind_;
+  std::vector<unsigned char>* out_;
+  std::vector<size_t>* starts_;
+  std::vector<unsigned char> scratch_;
+};
+
+constexpr size_t kMetricsFields = 7;
+
+/// A reduce worker's metrics frame: its reduce counters, as varints.
+void AppendMetricsFrame(const MapReduceMetrics& shard,
+                        std::vector<unsigned char>* out) {
+  const uint64_t fields[kMetricsFields] = {
+      shard.distinct_keys,           shard.max_reducer_input,
+      shard.outputs,                 shard.reduce_cost.edges_scanned,
+      shard.reduce_cost.candidates,  shard.reduce_cost.index_probes,
+      shard.reduce_cost.outputs};
+  unsigned char body[kMetricsFields * kMaxVarintBytes];
+  size_t used = 0;
+  for (const uint64_t field : fields) used += PutVarint(field, body + used);
+  AppendFrame(FrameKind::kMetrics, body, used, out);
 }
 
-WorkerCrew::WorkerCrew(const char* role, size_t count)
-    : role_(role), workers_(count) {}
+}  // namespace
+
+bool SendAll(int fd, const unsigned char* data, size_t size) {
+  return SendTimed(fd, data, size, /*timeout_ms=*/-1) == IoStatus::kOk;
+}
+
+void ShipStream(int fd, std::vector<unsigned char>* wire,
+                const std::vector<size_t>& starts,
+                const std::optional<ArmedFault>& fault) {
+  if (fault) {
+    const size_t at = starts[std::min<uint64_t>(fault->after_frames,
+                                                starts.size() - 1)];
+    if (fault->kind == FaultKind::kCorruptFrame) {
+      // The kind byte follows the length varint's last byte; 0xee is no
+      // FrameKind, so the receiver's strict decode rejects the stream.
+      size_t i = at;
+      while (i < wire->size() && ((*wire)[i] & 0x80) != 0) ++i;
+      if (i + 1 < wire->size()) (*wire)[i + 1] = 0xee;
+    } else {
+      // starts.back() is the end-of-stream frame, so a cut always
+      // withholds it: the fault is never silent.
+      SendAll(fd, wire->data(), at);
+      // A stall keeps the link open but silent: only the coordinator's
+      // deadline clears it. Every other kind dies on the spot.
+      while (fault->kind == FaultKind::kStallLink) pause();
+      raise(SIGKILL);
+      _exit(137);  // unreachable unless SIGKILL races
+    }
+  }
+  // A failed send means the coordinator is gone: nobody to report to.
+  if (!SendAll(fd, wire->data(), wire->size())) _exit(2);
+}
+
+void RunReduceChild(
+    int fd, const std::optional<ArmedFault>& fault,
+    const std::function<void(const FrameView&)>& on_pair,
+    const std::function<void(InstanceSink*, InstanceSink*,
+                             MapReduceMetrics*)>& reduce) {
+  unsigned char flags = 0;
+  FrameBuffer buffer;
+  std::vector<unsigned char> scratch(kBatchBytes);
+  for (bool ended = false; !ended;) {
+    size_t n = 0;
+    RecvTimed(fd, scratch.data(), scratch.size(), /*timeout_ms=*/-1, &n);
+    if (n == 0) throw std::runtime_error("coordinator hung up mid-input");
+    buffer.Append(scratch.data(), n);
+    FrameView frame;
+    while (!ended && buffer.Next(&frame) == DecodeStatus::kOk) {
+      if (frame.kind == FrameKind::kPair) {
+        on_pair(frame);
+      } else if (frame.kind == FrameKind::kHeader && frame.body_bytes == 1) {
+        flags = frame.body[0];
+      } else if (frame.kind == FrameKind::kEnd) {
+        ended = true;
+      } else {
+        throw std::runtime_error("unexpected frame from coordinator");
+      }
+    }
+  }
+
+  MapReduceMetrics shard;
+  std::vector<unsigned char> out;
+  std::vector<size_t> starts;
+  std::vector<size_t>* tracked = fault ? &starts : nullptr;
+  FrameSink instances(FrameKind::kInstance, &out, tracked);
+  FrameSink records(FrameKind::kRecord, &out, tracked);
+  reduce((flags & 1u) != 0 ? &instances : nullptr,
+         (flags & 2u) != 0 ? &records : nullptr, &shard);
+  starts.push_back(out.size());
+  AppendMetricsFrame(shard, &out);
+  starts.push_back(out.size());
+  const unsigned char no_count = 0;
+  AppendFrame(FrameKind::kEnd, &no_count, 1, &out);
+  ShipStream(fd, &out, starts, fault);
+}
+
+uint64_t CollectOutput(WorkerCrew* crew, size_t r, unsigned char flags,
+                       std::vector<unsigned char>* replay, uint64_t* frames) {
+  std::vector<uint64_t> fields;
+  uint64_t bytes = 0;
+  crew->Read(r, [&](const FrameView& frame) {
+    const bool valid =
+        (frame.kind == FrameKind::kInstance && (flags & 1u) != 0 &&
+         DecodeVarints(frame, 0, &fields)) ||
+        (frame.kind == FrameKind::kRecord && (flags & 2u) != 0 &&
+         DecodeVarints(frame, 0, &fields)) ||
+        (frame.kind == FrameKind::kMetrics &&
+         DecodeVarints(frame, kMetricsFields, &fields));
+    if (!valid) {
+      throw Fault{WorkerErrorKind::kCorruptFrame,
+                  "corrupt or unrequested output frame on " + crew->Who(r) +
+                      "'s link"};
+    }
+    AppendFrame(frame.kind, frame.body, frame.body_bytes, replay);
+    ++*frames;
+  }, &bytes);
+  return bytes;
+}
+
+void ReplayOutput(const std::vector<unsigned char>& replay, InstanceSink* sink,
+                  InstanceSink* records, MapReduceMetrics* metrics) {
+  FrameBuffer buffer;
+  buffer.Append(replay.data(), replay.size());
+  std::vector<uint64_t> fields;
+  std::vector<NodeId> nodes;
+  FrameView frame;
+  while (buffer.Next(&frame) == DecodeStatus::kOk) {
+    // Validated by CollectOutput, so a failure here is a coordinator bug.
+    if (!DecodeVarints(frame, frame.kind == FrameKind::kMetrics
+                                  ? kMetricsFields
+                                  : 0,
+                       &fields)) {
+      throw std::runtime_error("process backend: malformed replay frame");
+    }
+    if (frame.kind == FrameKind::kMetrics) {
+      MapReduceMetrics shard;
+      shard.distinct_keys = fields[0];
+      shard.max_reducer_input = fields[1];
+      shard.outputs = fields[2];
+      shard.reduce_cost.edges_scanned = fields[3];
+      shard.reduce_cost.candidates = fields[4];
+      shard.reduce_cost.index_probes = fields[5];
+      shard.reduce_cost.outputs = fields[6];
+      metrics->MergeReduceShard(shard);
+      continue;
+    }
+    nodes.assign(fields.begin(), fields.end());
+    (frame.kind == FrameKind::kInstance ? sink : records)->Emit(nodes);
+  }
+}
+
+WorkerCrew::WorkerCrew(WorkerRole role, size_t count, int timeout_ms,
+                       uint64_t pair_frame_bytes)
+    : role_(role),
+      workers_(count),
+      timeout_ms_(timeout_ms),
+      frame_limit_(std::max<uint64_t>(pair_frame_bytes, uint64_t{1} << 20)) {}
 
 WorkerCrew::~WorkerCrew() {
   // Unwinding with live children (a throw anywhere in the round): kill and
@@ -155,19 +383,84 @@ WorkerCrew::~WorkerCrew() {
   }
 }
 
-void WorkerCrew::Spawn(size_t index, const std::function<void(int)>& body) {
+std::string WorkerCrew::Who(size_t index) const {
+  return std::string(WorkerRoleName(role_)) + " worker " +
+         std::to_string(index);
+}
+
+void WorkerCrew::Run(const RetryPolicy& retry, FaultCounters* counters,
+                     const Tasks& tasks) {
+  const unsigned max_attempts = std::max(1u, retry.max_attempts);
+  std::vector<unsigned> attempts(workers_.size(), 0);
+  std::vector<char> started(workers_.size(), 0);
+  const auto fail = [&](size_t slot, const Fault& fault) {
+    KillAndReap(slot);  // no-op when the failing path already reaped
+    started[slot] = 0;
+    counters->discarded += tasks.discard(slot);
+    if (fault.kind == WorkerErrorKind::kDeadline) ++counters->deadline_kills;
+    if (attempts[slot] >= max_attempts) {
+      throw WorkerError(fault.kind, WorkerRoleName(role_),
+                        static_cast<unsigned>(slot), attempts[slot],
+                        fault.detail);
+    }
+    ++counters->retries;
+  };
+  const auto start = [&](size_t slot) {
+    ++attempts[slot];
+    try {
+      tasks.start(slot);
+      started[slot] = 1;
+    } catch (const Fault& fault) {
+      fail(slot, fault);
+    }
+  };
+  for (size_t slot = 0; slot < workers_.size(); ++slot) start(slot);
+  for (size_t slot = 0; slot < workers_.size(); ++slot) {
+    while (true) {
+      if (!started[slot]) {
+        Backoff(retry, attempts[slot]);
+        start(slot);
+        continue;
+      }
+      try {
+        tasks.collect(slot);
+        break;
+      } catch (const Fault& fault) {
+        fail(slot, fault);
+      }
+    }
+  }
+}
+
+std::optional<ArmedFault> WorkerCrew::Spawn(size_t index,
+                                            FaultInjector* injector,
+                                            const Body& body) {
+  const std::optional<ArmedFault> armed =
+      injector != nullptr
+          ? injector->ArmSpawn(role_, static_cast<unsigned>(index))
+          : std::nullopt;
+  if (armed && armed->kind == FaultKind::kFailSpawn) {
+    throw Fault{WorkerErrorKind::kSpawnFailure,
+                "injected spawn failure for " + Who(index)};
+  }
+  // Spill failures fire in the coordinator; the child runs clean.
+  const std::optional<ArmedFault> child_fault =
+      armed && armed->kind != FaultKind::kFailSpillAppend ? armed
+                                                          : std::nullopt;
   int sockets[2];
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, sockets) != 0) {
-    throw std::runtime_error(
-        std::string("process backend: socketpair failed: ") +
-        std::strerror(errno));
+    throw Fault{WorkerErrorKind::kSpawnFailure,
+                std::string("process backend: socketpair failed: ") +
+                    std::strerror(errno)};
   }
   const pid_t pid = fork();
   if (pid < 0) {
+    const int error = errno;
     close(sockets[0]);
     close(sockets[1]);
-    throw std::runtime_error(std::string("process backend: fork failed: ") +
-                             std::strerror(errno));
+    throw Fault{WorkerErrorKind::kSpawnFailure,
+                std::string("process backend: fork failed: ") +
+                    std::strerror(error)};
   }
   if (pid == 0) {
     // Child. Drop the parent ends of every link in this crew so a sibling
@@ -179,7 +472,7 @@ void WorkerCrew::Spawn(size_t index, const std::function<void(int)>& body) {
       if (other.fd >= 0) close(other.fd);
     }
     try {
-      body(sockets[1]);
+      body(sockets[1], child_fault);
     } catch (const std::exception& error) {
       ChildFailAndExit(sockets[1], error.what());
     } catch (...) {
@@ -189,6 +482,77 @@ void WorkerCrew::Spawn(size_t index, const std::function<void(int)>& body) {
   }
   close(sockets[1]);
   workers_[index] = Worker{pid, sockets[0]};
+  return armed;
+}
+
+void WorkerCrew::Send(size_t index, const unsigned char* data, size_t size) {
+  const IoStatus io = SendTimed(workers_[index].fd, data, size, timeout_ms_);
+  if (io == IoStatus::kOk) return;
+  const std::string how = KillAndReap(index);
+  if (io == IoStatus::kTimeout) {
+    throw Fault{WorkerErrorKind::kDeadline,
+                Who(index) + " read no input for " +
+                    std::to_string(timeout_ms_) + " ms; killed (" + how +
+                    ")"};
+  }
+  throw Fault{WorkerErrorKind::kCrash, how + " while receiving its input"};
+}
+
+uint64_t WorkerCrew::Read(
+    size_t index, const std::function<void(const FrameView&)>& on_frame,
+    uint64_t* bytes) {
+  FrameBuffer buffer(frame_limit_);
+  std::vector<unsigned char> scratch(kBatchBytes);
+  std::string how;
+  while (true) {
+    size_t n = 0;
+    if (RecvTimed(workers_[index].fd, scratch.data(), scratch.size(),
+                  timeout_ms_, &n) == IoStatus::kTimeout) {
+      how = KillAndReap(index);
+      throw Fault{WorkerErrorKind::kDeadline,
+                  Who(index) + " made no progress for " +
+                      std::to_string(timeout_ms_) + " ms; killed (" + how +
+                      ")"};
+    }
+    if (n == 0) {
+      Reap(index, &how);
+      throw Fault{WorkerErrorKind::kCrash,
+                  how + " before finishing its stream"};
+    }
+    *bytes += n;
+    buffer.Append(scratch.data(), n);
+    FrameView frame;
+    while (true) {
+      try {
+        if (buffer.Next(&frame) != DecodeStatus::kOk) break;
+      } catch (const std::runtime_error& error) {
+        throw Fault{WorkerErrorKind::kCorruptFrame,
+                    "corrupt frame on " + Who(index) + "'s link: " +
+                        error.what()};
+      }
+      if (frame.kind == FrameKind::kError) {
+        Reap(index, &how);
+        throw Fault{WorkerErrorKind::kChildError,
+                    Who(index) + " failed: " +
+                        std::string(reinterpret_cast<const char*>(frame.body),
+                                    frame.body_bytes)};
+      }
+      if (frame.kind != FrameKind::kEnd) {
+        on_frame(frame);
+        continue;
+      }
+      std::vector<uint64_t> count;
+      if (!DecodeVarints(frame, 1, &count) || !buffer.Drained()) {
+        throw Fault{WorkerErrorKind::kCorruptFrame,
+                    "corrupt end of stream on " + Who(index) + "'s link"};
+      }
+      if (!Reap(index, &how)) {
+        throw Fault{WorkerErrorKind::kCrash,
+                    how + " after finishing its stream"};
+      }
+      return count[0];
+    }
+  }
 }
 
 bool WorkerCrew::Reap(size_t index, std::string* how) {
@@ -197,10 +561,8 @@ bool WorkerCrew::Reap(size_t index, std::string* how) {
     close(worker.fd);
     worker.fd = -1;
   }
-  if (worker.pid <= 0) {
-    how->clear();
-    return true;  // already reaped — nothing new to report
-  }
+  how->clear();
+  if (worker.pid <= 0) return true;  // already reaped — nothing to report
   int status = 0;
   while (waitpid(worker.pid, &status, 0) < 0) {
     if (errno != EINTR) {
@@ -210,44 +572,18 @@ bool WorkerCrew::Reap(size_t index, std::string* how) {
           std::strerror(errno));
     }
   }
-  const pid_t pid = worker.pid;
+  *how = Describe(Who(index), worker.pid, status);
   worker.pid = -1;
-  *how = Describe(role_, index, pid, status);
   return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
 std::string WorkerCrew::KillAndReap(size_t index) {
-  Worker& worker = workers_[index];
-  if (worker.fd >= 0) {
-    close(worker.fd);
-    worker.fd = -1;
-  }
-  if (worker.pid <= 0) return std::string();
-  kill(worker.pid, SIGKILL);  // a zombie still accepts the no-op kill
-  int status = 0;
-  while (waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  const pid_t pid = worker.pid;
-  worker.pid = -1;
-  return Describe(role_, index, pid, status);
-}
-
-void FrameBuffer::Append(const unsigned char* data, size_t size) {
-  if (position_ > 0) {
-    bytes_.erase(bytes_.begin(),
-                 bytes_.begin() + static_cast<ptrdiff_t>(position_));
-    position_ = 0;
-  }
-  bytes_.insert(bytes_.end(), data, data + size);
-}
-
-DecodeStatus FrameBuffer::Next(FrameView* frame) {
-  size_t consumed = 0;
-  const DecodeStatus status = DecodeFrameChecked(
-      bytes_.data() + position_, bytes_.size() - position_,
-      /*closed=*/false, frame_limit_, frame, &consumed);
-  if (status == DecodeStatus::kOk) position_ += consumed;
-  return status;
+  // SIGKILL is not maskable, so the reap never blocks on a live child; a
+  // zombie still accepts the no-op kill.
+  if (workers_[index].pid > 0) kill(workers_[index].pid, SIGKILL);
+  std::string how;
+  Reap(index, &how);
+  return how;
 }
 
 }  // namespace process_internal

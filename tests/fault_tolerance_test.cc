@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <climits>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -507,6 +508,23 @@ TEST(FaultPolicySpec, ParsesRetriesDeadlineAndFallback) {
       PolicyFromSpecs("1", "partition", "auto", "on", "0", "process:4"));
   EXPECT_FALSE(Contains(plain, "retr")) << plain;
   EXPECT_FALSE(Contains(plain, "deadline")) << plain;
+}
+
+// poll() takes an int timeout, and a negative one waits forever: a
+// deadline above INT_MAX ms must clamp, never wrap into "no deadline".
+TEST(FaultPolicySpec, DeadlineTimeoutClampsToIntMax) {
+  EXPECT_EQ(ExecutionPolicy().WithDeadline(0).DeadlineTimeoutMs(), -1);
+  EXPECT_EQ(ExecutionPolicy().WithDeadline(400).DeadlineTimeoutMs(), 400);
+  EXPECT_EQ(ExecutionPolicy()
+                .WithDeadline(static_cast<uint32_t>(INT_MAX))
+                .DeadlineTimeoutMs(),
+            INT_MAX);
+  EXPECT_EQ(ExecutionPolicy()
+                .WithDeadline(static_cast<uint32_t>(INT_MAX) + 1)
+                .DeadlineTimeoutMs(),
+            INT_MAX);
+  EXPECT_EQ(ExecutionPolicy().WithDeadline(UINT32_MAX).DeadlineTimeoutMs(),
+            INT_MAX);
 }
 
 TEST(FaultPolicySpec, RejectsBadFaultKnobs) {

@@ -282,6 +282,58 @@ TEST(ProcessBackend, ThreadBackendLeavesWireCountersZero) {
   EXPECT_TRUE(metrics.shuffle.link_bytes_on_wire.empty());
 }
 
+// The coordinator shuffles through the local round's partitioned store, so
+// it reports the local round's partition stats at the same partition count.
+TEST(ProcessBackend, ReportsPartitionStatsOfTheLocalRound) {
+  const CountSpec spec = CountRound(64, /*with_combiner=*/false);
+  const std::vector<uint32_t> inputs = Iota(2000);
+  for (const unsigned partitions : {0u /* auto */, 1u}) {
+    const ExecutionPolicy process =
+        ExecutionPolicy::Serial().WithPartitions(partitions).WithBackend(
+            BackendMode::kProcess, 3);
+    CollectingSink process_sink;
+    const MapReduceMetrics got =
+        RunRound(spec, std::span<const uint32_t>(inputs), &process_sink,
+                 nullptr, process);
+    CollectingSink local_sink;
+    const MapReduceMetrics expected = RunRound(
+        spec, std::span<const uint32_t>(inputs), &local_sink, nullptr,
+        ExecutionPolicy::Serial().WithPartitions(
+            process.EffectivePartitions()));
+    const std::string label = "partitions=" + std::to_string(partitions);
+    EXPECT_GE(got.shuffle.partitions, 3u) << label;
+    EXPECT_EQ(got.shuffle.partitions, expected.shuffle.partitions) << label;
+    EXPECT_GT(got.shuffle.max_partition_pairs, 0u) << label;
+    EXPECT_EQ(got.shuffle.max_partition_pairs,
+              expected.shuffle.max_partition_pairs)
+        << label;
+    EXPECT_TRUE(got == expected) << label;
+    EXPECT_EQ(process_sink.assignments(), local_sink.assignments()) << label;
+  }
+
+  // Every key falls in partition 0 of 4, so reduce workers 1-3 own empty
+  // partition groups; the round must still match the local round exactly.
+  CountSpec skewed = CountRound(64, /*with_combiner=*/false);
+  skewed.mapper = [](const uint32_t& input, Emitter<uint64_t>* emitter) {
+    emitter->Emit(input % 4, 1);
+  };
+  CollectingSink process_sink;
+  const MapReduceMetrics got = RunRound(
+      skewed, std::span<const uint32_t>(inputs), &process_sink, nullptr,
+      ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 4));
+  CollectingSink local_sink;
+  const MapReduceMetrics expected =
+      RunRound(skewed, std::span<const uint32_t>(inputs), &local_sink,
+               nullptr, ExecutionPolicy::Serial().WithPartitions(4));
+  EXPECT_EQ(got.shuffle.process_workers, 8u);
+  EXPECT_EQ(got.shuffle.partitions, 4u);
+  EXPECT_EQ(got.shuffle.max_partition_pairs, inputs.size());
+  EXPECT_EQ(got.shuffle.max_partition_pairs,
+            expected.shuffle.max_partition_pairs);
+  EXPECT_TRUE(got == expected);
+  EXPECT_EQ(process_sink.assignments(), local_sink.assignments());
+}
+
 // A tight budget makes the coordinator's per-link channels spill to disk;
 // semantics must be identical to the unbudgeted thread run.
 TEST(ProcessBackend, SpillsUnderBudgetWithoutChangingResults) {

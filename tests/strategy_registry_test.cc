@@ -562,6 +562,13 @@ TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
   EXPECT_EQ(PolicyFromSpecs("2", "partition:1", "auto", "on")
                 .EffectivePartitions(),
             1u);
+  // The process backend gives every reduce worker at least one partition,
+  // so it runs no fewer partitions than it has configured workers.
+  const ExecutionPolicy process =
+      PolicyFromSpecs("1", "partition:1", "auto", "on", "0", "process:3");
+  EXPECT_EQ(process.EffectivePartitions(), 3u);
+  EXPECT_NE(DescribePolicy(process).find("3 partitions"), std::string::npos)
+      << DescribePolicy(process);
 
   // The sort shuffle and the counting / sort grouping modes were removed.
   EXPECT_THROW(PolicyFromSpecs("1", "sort", "auto", "on"),

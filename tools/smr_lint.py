@@ -7,8 +7,7 @@ encodes an invariant the general-purpose tools cannot see:
 
   header-budget      Engine headers (src/mapreduce/*.h) stay under a line
                      budget, so the engine keeps decomposing into layers
-                     instead of re-growing a monolith. Documented
-                     exemptions live in HEADER_BUDGET_EXEMPT.
+                     instead of re-growing a monolith.
   determinism        No fork/rand/wall-clock nondeterminism outside the
                      whitelisted files. The engine's contract is
                      byte-identical results across thread counts,
@@ -50,14 +49,6 @@ import sys
 # --------------------------------------------------------------------------
 
 HEADER_BUDGET_LINES = 400
-
-# Documented exemptions from the engine-header budget: path -> reason.
-HEADER_BUDGET_EXEMPT = {
-    "src/mapreduce/process_backend.h":
-        "single-coordinator process backend; PR 9 rebuilt it as one "
-        "header-only state machine on purpose (fork/exec lifecycle, "
-        "retry bookkeeping, and drain loop are one indivisible unit)",
-}
 
 # Nondeterminism sources and the files allowed to use each. Patterns are
 # regexes matched per line; comment-only lines are skipped first.
@@ -127,12 +118,10 @@ def check_header_budget(root, budget=HEADER_BUDGET_LINES):
         count = len(read_lines(os.path.join(root, rel)))
         if count <= budget:
             continue
-        if rel in HEADER_BUDGET_EXEMPT:
-            continue
         findings.append(Finding(
             "header-budget", rel, 0,
             f"{count} lines exceeds the {budget}-line engine-header "
-            f"budget; split a layer out or add a documented exemption"))
+            f"budget; split a layer out"))
     return findings
 
 
