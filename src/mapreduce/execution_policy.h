@@ -91,13 +91,14 @@ struct ExecutionPolicy {
   /// Shuffle memory budget in bytes; 0 = unbounded (all emissions stay in
   /// memory — the original engine). With a budget, the local round
   /// routes its emission buffers through the paged spill store
-  /// (mapreduce/spill.h): map workers spill stable-sorted runs to temp
-  /// files whenever the job's resident shuffle bytes exceed the budget,
-  /// and the reduce phase streams each partition back as a merge of its
-  /// runs plus the resident tail. Results — instances, emission order,
-  /// and semantic metrics — are byte-identical to the unbounded run at
-  /// every thread count; only ShuffleStats' spill counters change. The one
-  /// exception: a Value type the spill store cannot serialize
+  /// (mapreduce/spill.h): map workers charge the job's page pool in fixed
+  /// steps and, at a step that leaves it over budget, spill runs grouped
+  /// by the counting scatter (GroupByKey) to temp files once they hold the
+  /// spill floor; the reduce phase streams each partition back as a merge
+  /// of its runs plus the resident tail. Results — instances, emission
+  /// order, and semantic metrics — are byte-identical to the unbounded run
+  /// at every thread count; only ShuffleStats' spill counters change. The
+  /// one exception: a Value type the spill store cannot serialize
   /// (SpillTraits<V>::kSpillable == false — no such type exists in the
   /// repository) keeps the unbounded path.
   uint64_t shuffle_budget_bytes = 0;

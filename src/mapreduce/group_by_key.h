@@ -12,7 +12,10 @@
 namespace smr {
 namespace engine_internal {
 
-/// Sort-free grouping for the local round's resident partitions.
+/// Sort-free grouping: the engine's one grouping primitive. It groups the
+/// local round's resident partitions and, one bucket at a time, the spill
+/// store's runs and resident tails (SpillChannel in mapreduce/spill.h), so
+/// a budgeted round groups at the same per-pair cost as a resident one.
 ///
 /// The engine's strategies keep their reducer ranks *dense* in a declared
 /// key_space, which makes each partition's key range a small contiguous

@@ -82,12 +82,13 @@ struct ResidentBuckets {
 };
 
 /// Budgeted bucket store: each map worker's buckets belong to a
-/// SpillChannel charged against one PagePool, which spills stable-sorted
-/// runs to the worker's temp file whenever the pool is over budget. A
-/// partition is streamed back as a stable merge of its runs plus resident
-/// tails in worker order — exactly the stable sort of the in-memory
-/// concatenation, so nothing downstream can tell the stores apart (the
-/// contract tests/spill_shuffle_fuzz_test.cc pins).
+/// SpillChannel charged against one PagePool in charge steps; at a charge
+/// that leaves the pool over budget, a channel holding at least the spill
+/// floor spills its buckets, grouped by GroupByKey, as runs to the
+/// worker's temp file. A partition is streamed back as a stable merge of
+/// its runs plus resident tails in worker order — exactly the stable sort
+/// of the in-memory concatenation, so nothing downstream can tell the
+/// stores apart (the contract tests/spill_shuffle_fuzz_test.cc pins).
 template <typename Value>
 struct SpilledBuckets {
   using Pair = std::pair<uint64_t, Value>;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "mapreduce/codec.h"
+#include "mapreduce/group_by_key.h"
 
 namespace smr {
 
@@ -22,16 +23,16 @@ namespace smr {
 /// (`shuffle_budget_bytes`). The design follows the Mimir page-pool shape:
 /// emission buffers are charged against one per-job PagePool, and when the
 /// pool exceeds the budget a map worker spills its own buffers — each
-/// bucket stable-sorted and appended to the worker's temp file in
-/// partition order as one *run* — then keeps emitting into the emptied
-/// buffers. After the map phase, each partition's pairs are recovered as a
-/// stable k-way merge of its spilled runs plus the (sorted) resident
-/// tails, in worker order. Because every run is a contiguous
-/// emission-order segment sorted stably, and the merge breaks key ties by
-/// segment order, the merged stream is *exactly* the stable sort of the
-/// worker-order concatenation — byte-identical instances, output order,
-/// and semantic metrics to the unbounded in-memory path. That equality is
-/// the store's contract, enforced by tests/spill_shuffle_fuzz_test.cc.
+/// bucket grouped by engine_internal::GroupByKey (counting scatter on
+/// dense keys, stable_sort on sparse ones) and appended to the worker's
+/// temp file in partition order as one *run* — then keeps emitting into
+/// the emptied buffers. After the map phase, each partition's pairs are
+/// recovered as a stable k-way merge of its spilled runs plus the grouped
+/// resident tails, in worker order. Every run is a contiguous emission-order
+/// segment grouped stably and the merge breaks key ties by segment order,
+/// so the merged stream is *exactly* the stable sort of the worker-order
+/// concatenation: instances, output order and semantic metrics match the
+/// unbounded path byte for byte (tests/spill_shuffle_fuzz_test.cc).
 ///
 /// I/O failures (short writes, ENOSPC, failed re-reads) surface as
 /// std::runtime_error naming the spill file; they are never absorbed into
@@ -72,17 +73,25 @@ class SpillBackend {
 SpillBackend& DefaultSpillBackend();
 
 /// Per-job accounting of resident shuffle bytes against the declared
-/// budget, shared by every map worker's SpillChannel. Page-granular
-/// spilling: a worker holding at least one full page of resident pairs
-/// spills as soon as the pool is over budget, so the end-of-map resident
-/// total is bounded by budget + workers x (page + record) + record —
-/// the invariant the differential fuzz test asserts through the stats
-/// below. Counters are relaxed atomics: they gate a heuristic and feed
-/// ShuffleStats, not any ordering.
+/// budget, shared by every map worker's SpillChannel. A channel counts its
+/// own bytes and charges the pool in steps of at least kChargeBytes,
+/// checking the budget only then; it spills when its charge leaves the
+/// pool over budget and it holds at least kSpillFloorBytes. So the pool
+/// overshoots only by channels under the floor, each channel holds under a
+/// step the pool has not seen, and the end-of-map resident total stays
+/// within budget + workers x (floor + step) + step + record <= budget +
+/// workers x (page + record) + record, the invariant the differential
+/// fuzz test asserts. Counters are relaxed atomics: they gate a heuristic
+/// and feed ShuffleStats, not any ordering.
 class PagePool {
  public:
   /// Fixed KV-block size: spill granularity and the read-back chunk.
   static constexpr size_t kPageBytes = 64 * 1024;
+  /// A channel's charge step and spill floor (see above).
+  static constexpr size_t kChargeBytes = kPageBytes / 4;
+  static constexpr size_t kSpillFloorBytes = kPageBytes / 2;
+  static_assert(kSpillFloorBytes + 2 * kChargeBytes <= kPageBytes,
+                "charge step and spill floor overrun the resident bound");
 
   /// `budget_bytes` == 0 means unbounded (never spill); `backend` == null
   /// selects DefaultSpillBackend().
@@ -92,17 +101,20 @@ class PagePool {
 
   bool bounded() const { return budget_ > 0; }
 
-  void Charge(size_t bytes) {
-    resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  /// Charges `bytes`; returns true if that leaves the pool over budget.
+  bool Charge(size_t bytes) {
+    const uint64_t before =
+        resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    return bounded() && before + bytes > budget_;
   }
 
   void Release(size_t bytes) {
     resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  bool OverBudget() const {
-    return bounded() &&
-           resident_bytes_.load(std::memory_order_relaxed) > budget_;
+  /// Bytes currently charged by live channels.
+  uint64_t resident_bytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
   }
 
   std::unique_ptr<SpillFile> CreateFile() {
@@ -136,24 +148,20 @@ class PagePool {
   std::atomic<uint64_t> spill_files_{0};
 };
 
-/// Spill-store serialization, now just a view over the shared codec layer
-/// (mapreduce/codec.h): spilled records are fixed-size
-/// [raw key][ValueCodec value bytes] blocks — fixed because runs are read
-/// back at computed offsets — so the value encoding is exactly
-/// ValueCodec<V>'s Store/Load, the same bytes the process backend frames
-/// onto its wires. Values with kSpillable == false (none in the
-/// repository today) keep the unbounded in-memory shuffle even when a
-/// budget is set — the engine documents this as the one exception to the
-/// budget knob.
+/// Spill-store serialization, a view over the shared codec layer
+/// (mapreduce/codec.h): spilled records are fixed-size [raw key][ValueCodec
+/// value bytes] blocks, fixed because runs are read back at computed
+/// offsets. Values with kSpillable == false (none in the repository today)
+/// keep the unbounded in-memory shuffle even when a budget is set — the
+/// engine's one documented exception to the budget knob.
 template <typename V>
 struct SpillTraits : ValueCodec<V> {
   static constexpr bool kSpillable = ValueCodec<V>::kEncodable;
 };
 
-/// One sorted, streamable segment of a partition's pairs: either a spilled
-/// run (read back page-at-a-time through the owning worker's SpillFile) or
-/// the in-memory resident tail. Segments are consumed through Head()/Pop()
-/// by the merge below.
+/// One sorted, streamable segment of a partition's pairs — a spilled run
+/// (read back page-at-a-time through the owning worker's SpillFile) or the
+/// resident tail — consumed through Head()/Pop() by the merge below.
 template <typename Value>
 class SpillSource {
   using Pair = std::pair<uint64_t, Value>;
@@ -228,9 +236,7 @@ class SpillMerger {
   explicit SpillMerger(std::vector<SpillSource<Value>> sources)
       : sources_(std::move(sources)) {
     for (size_t i = 0; i < sources_.size(); ++i) {
-      if (!sources_[i].Empty()) {
-        heap_.emplace(sources_[i].Head().first, i);
-      }
+      if (!sources_[i].Empty()) heap_.emplace(sources_[i].Head().first, i);
     }
   }
 
@@ -256,11 +262,12 @@ class SpillMerger {
 /// One map worker's emission buffers under a budget: one bucket per
 /// destination partition, charged against the shared PagePool. The worker
 /// emits into buckets() exactly as it would into the in-memory scatter
-/// buffers; NotifyAppend() (called by the Emitter per append) does the
-/// accounting and spills this channel — all buckets, stable-sorted, in
+/// buffers; NotifyAppend() (called by the Emitter per append) counts the
+/// bytes locally, charges the pool once per charge step, and at those
+/// points spills this channel — all buckets, grouped by GroupByKey, in
 /// partition order, to the worker's own temp file — when the pool is over
-/// budget and the channel holds at least one page. Single-threaded per
-/// worker except for the pool's atomic counters.
+/// budget and the channel holds at least the spill floor (see PagePool).
+/// Single-threaded per worker except for the pool's atomic counters.
 template <typename Value>
 class SpillChannel {
   using Pair = std::pair<uint64_t, Value>;
@@ -274,7 +281,7 @@ class SpillChannel {
   SpillChannel(PagePool* pool, unsigned partitions)
       : pool_(pool), buckets_(partitions), spilled_(partitions) {}
 
-  ~SpillChannel() { pool_->Release(resident_bytes_); }
+  ~SpillChannel() { pool_->Release(charged_bytes_); }
 
   SpillChannel(const SpillChannel&) = delete;
   SpillChannel& operator=(const SpillChannel&) = delete;
@@ -285,17 +292,21 @@ class SpillChannel {
   /// a spill ran (the caller's bucket-position state is then stale).
   bool NotifyAppend() {
     resident_bytes_ += kRecordBytes;
-    pool_->Charge(kRecordBytes);
-    if (resident_bytes_ >= PagePool::kPageBytes && pool_->OverBudget()) {
+    const uint64_t uncharged = resident_bytes_ - charged_bytes_;
+    if (uncharged < PagePool::kChargeBytes) return false;
+    charged_bytes_ = resident_bytes_;
+    if (pool_->Charge(uncharged) &&
+        resident_bytes_ >= PagePool::kSpillFloorBytes) {
       Spill();
       return true;
     }
     return false;
   }
 
-  /// Stable-sorts the resident tails; call once, after the last emission.
+  /// Groups the resident tails; call once, after the last emission.
   void Finish() {
-    for (std::vector<Pair>& bucket : buckets_) SortByKey(&bucket);
+    std::vector<uint32_t> counts;
+    for (std::vector<Pair>& bucket : buckets_) GroupBucket(&bucket, &counts);
   }
 
   /// Pairs this channel holds for partition `p`, spilled plus resident.
@@ -303,7 +314,7 @@ class SpillChannel {
     return spilled_[p].pairs + buckets_[p].size();
   }
 
-  /// Appends partition `p`'s sorted segments in emission order: spilled
+  /// Appends partition `p`'s grouped segments in emission order: spilled
   /// runs oldest-first, then the resident tail. Requires Finish().
   void AppendSources(unsigned p, std::vector<SpillSource<Value>>* out) {
     for (const Run& run : spilled_[p].runs) {
@@ -322,24 +333,31 @@ class SpillChannel {
     uint64_t pairs = 0;
   };
 
-  static void SortByKey(std::vector<Pair>* bucket) {
-    std::stable_sort(
-        bucket->begin(), bucket->end(),
-        [](const Pair& a, const Pair& b) { return a.first < b.first; });
+  /// Groups one bucket in place (ascending key, emission order within a
+  /// key); the ungrouped storage is freed on return, so at most one
+  /// bucket's copy is transient. `counts` is histogram scratch.
+  static void GroupBucket(std::vector<Pair>* bucket,
+                          std::vector<uint32_t>* counts) {
+    std::vector<Pair>* one[] = {bucket};
+    std::vector<Pair> grouped;
+    engine_internal::GroupByKey<Value>(one, bucket->size(), &grouped, counts);
+    bucket->swap(grouped);
   }
 
-  /// Writes every non-empty bucket as one sorted run, in partition order,
-  /// and releases the spilled bytes back to the pool. Buckets give their
+  /// Writes every non-empty bucket as one grouped run, in partition order,
+  /// and releases the charged bytes back to the pool (they equal the
+  /// spilled bytes: spills run only at charge points). Buckets give their
   /// heap storage back too — a cleared vector that keeps its capacity
   /// would defeat the budget.
   void Spill() {
     if (file_ == nullptr) file_ = pool_->CreateFile();
     if (scratch_.empty()) scratch_.resize(PagePool::kPageBytes);
+    std::vector<uint32_t> counts;
     uint64_t spilled_bytes = 0;
     for (unsigned p = 0; p < buckets_.size(); ++p) {
       std::vector<Pair>& bucket = buckets_[p];
       if (bucket.empty()) continue;
-      SortByKey(&bucket);
+      GroupBucket(&bucket, &counts);
       size_t used = 0;
       for (const Pair& pair : bucket) {
         if (used + kRecordBytes > scratch_.size()) {
@@ -359,9 +377,10 @@ class SpillChannel {
       spilled_bytes += run_bytes;
       std::vector<Pair>().swap(bucket);
     }
-    pool_->Release(spilled_bytes);
+    pool_->Release(charged_bytes_);
     pool_->RecordSpill(spilled_bytes);
-    resident_bytes_ -= spilled_bytes;
+    resident_bytes_ = 0;
+    charged_bytes_ = 0;
   }
 
   PagePool* pool_;
@@ -369,7 +388,8 @@ class SpillChannel {
   std::vector<PartitionRuns> spilled_;
   std::unique_ptr<SpillFile> file_;
   uint64_t file_bytes_ = 0;
-  uint64_t resident_bytes_ = 0;
+  uint64_t resident_bytes_ = 0;  // Appended pairs, spilled ones excluded.
+  uint64_t charged_bytes_ = 0;   // The part of it charged to the pool.
   std::vector<unsigned char> scratch_;
 };
 
