@@ -13,11 +13,13 @@
 
 #include <cstdio>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "core/two_round_triangles.h"
 #include "core/variable_oriented.h"
+#include "cq/cq_generation.h"
 #include "graph/generators.h"
+#include "graph/sample_graph.h"
 #include "serial/two_paths.h"
 #include "shares/cost_expression.h"
 
@@ -27,17 +29,19 @@ namespace {
 void AblationMerge() {
   std::printf("A. CQ merging (square, measured kv pairs, same shares)\n");
   const Graph g = ErdosRenyi(200, 1200, 3);
-  const SubgraphEnumerator enumerator(SampleGraph::Square());
+  const SampleGraph square = SampleGraph::Square();
   const std::vector<int> shares = {2, 3, 4, 3};  // ~72 reducers
-  const auto merged = enumerator.RunVariableOriented(g, shares, 1, nullptr);
+  const auto merged = StrategyRegistry::Global()
+                          .Run(EnumerationQuery::Undirected(square, g)
+                                   .WithStrategy("variable:2x3x4x3"))
+                          .metrics;
   // Split: one job per CQ, each shipping its own copies of the edges.
   uint64_t split_pairs = 0;
   uint64_t split_outputs = 0;
-  for (const auto& cq : enumerator.cqs()) {
+  for (const auto& cq : CqsForSample(square)) {
     const std::vector<ConjunctiveQuery> single = {cq};
     const auto metrics =
-        VariableOrientedEnumerate(SampleGraph::Square(), single, g, shares,
-                                  1, nullptr);
+        VariableOrientedEnumerate(square, single, g, shares, 1, nullptr);
     split_pairs += metrics.key_value_pairs;
     split_outputs += metrics.outputs;
   }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/strategy.h"
-#include "cq/cq_generation.h"
 #include "graph/generators.h"
 #include "graph/node_order.h"
 #include "serial/convertible.h"
@@ -43,7 +42,6 @@ struct NamedGraph {
 /// bound.
 bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
   const Graph& g = input.graph;
-  const std::vector<ConjunctiveQuery> cqs = CqsForSample(pattern);
   CostCounter serial_cost;
   const uint64_t serial_found =
       EnumerateInstances(pattern, g, nullptr, &serial_cost);
@@ -57,10 +55,10 @@ bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
                          pattern.edges() == SampleGraph::Square().edges();
   bool ok = true;
   for (int b : {2, 3, 4, 6}) {
-    EnumerationQuery query = EnumerationQuery::Undirected(pattern, g);
-    query.cqs = &cqs;
     const EnumerationResult result = StrategyRegistry::Global().Run(
-        query.WithStrategy("bucket:" + std::to_string(b)).WithSeed(1));
+        EnumerationQuery::Undirected(pattern, g)
+            .WithStrategy("bucket:" + std::to_string(b))
+            .WithSeed(1));
     const MapReduceMetrics& metrics = result.metrics;
     const double ratio = static_cast<double>(metrics.reduce_cost.Total()) /
                          static_cast<double>(serial_cost.Total());

@@ -9,12 +9,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "graph/intersect.h"
 #include "mapreduce/thread_pool.h"
 #include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
+#include "graph/sample_graph.h"
 #include "mapreduce/job.h"
 #include "serial/triangles.h"
 #include "shares/share_optimizer.h"
@@ -103,11 +104,12 @@ BENCHMARK(BM_CqEvaluatorSquare);
 
 void BM_BucketOrientedTriangles(benchmark::State& state) {
   const Graph g = ErdosRenyi(2000, 10000, 4);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
-  const int b = static_cast<int>(state.range(0));
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const EnumerationQuery query =
+      EnumerationQuery::Undirected(triangle, g)
+          .WithSpec({"bucket", {TunableValue::Int(state.range(0))}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        enumerator.RunBucketOriented(g, b, 1, nullptr).outputs);
+    benchmark::DoNotOptimize(StrategyRegistry::Global().Run(query).instances);
   }
 }
 BENCHMARK(BM_BucketOrientedTriangles)->Arg(2)->Arg(4)->Arg(8);

@@ -23,9 +23,10 @@
 #include <cstring>
 #include <string>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "graph/sample_graph.h"
 #include "mapreduce/execution_policy.h"
 #include "util/parse.h"
 
@@ -112,14 +113,22 @@ int Run(int argc, char** argv) {
   const uint64_t baseline_rss = PeakRssBytes();
   std::printf("rss:     %.1f MB after load\n", Mb(baseline_rss));
 
-  const SubgraphEnumerator triangle(SampleGraph::Triangle());
-  const ExecutionPolicy budgeted =
-      ExecutionPolicy::WithThreads(threads).WithBudget(budget);
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const auto run_bucket = [&](const ExecutionPolicy& policy,
+                              InstanceSink* sink) {
+    return StrategyRegistry::Global()
+        .Run(EnumerationQuery::Undirected(triangle, graph)
+                 .WithSpec({"bucket", {TunableValue::Int(bucket)}})
+                 .WithSeed(seed)
+                 .WithPolicy(policy)
+                 .WithSink(sink))
+        .metrics;
+  };
 
   // Budgeted run first — see the header comment on ru_maxrss.
   CountingSink counting;
-  const MapReduceMetrics metrics =
-      triangle.RunBucketOriented(graph, bucket, seed, &counting, budgeted);
+  const MapReduceMetrics metrics = run_bucket(
+      ExecutionPolicy::WithThreads(threads).WithBudget(budget), &counting);
   const uint64_t peak_rss = PeakRssBytes();
   const double volume_ratio =
       static_cast<double>(metrics.shuffle.shuffle_bytes) /
@@ -150,9 +159,8 @@ int Run(int argc, char** argv) {
   int failures = 0;
   if (verify) {
     CountingSink unbounded_count;
-    const MapReduceMetrics unbounded = triangle.RunBucketOriented(
-        graph, bucket, seed, &unbounded_count,
-        ExecutionPolicy::WithThreads(threads));
+    const MapReduceMetrics unbounded =
+        run_bucket(ExecutionPolicy::WithThreads(threads), &unbounded_count);
     const bool equal = metrics == unbounded &&
                        counting.count() == unbounded_count.count();
     std::printf("verify:  unbounded run %s (%llu triangles)\n",

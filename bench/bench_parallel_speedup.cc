@@ -11,11 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "core/triangle_census.h"
 #include "graph/generators.h"
 #include "graph/node_order.h"
+#include "graph/sample_graph.h"
 #include "mapreduce/execution_policy.h"
 
 namespace smr {
@@ -95,20 +96,28 @@ void Run() {
 
   {
     const Graph g = ErdosRenyi(4000, 40000, 11);
-    const SubgraphEnumerator square(SampleGraph::Square());
+    const SampleGraph square = SampleGraph::Square();
     Compare("bucket-oriented square", parallel,
             [&](const ExecutionPolicy& policy) {
-              return square.RunBucketOriented(g, 4, 1, nullptr, policy).outputs;
+              return StrategyRegistry::Global()
+                  .Run(EnumerationQuery::Undirected(square, g)
+                           .WithStrategy("bucket:4")
+                           .WithPolicy(policy))
+                  .instances;
             });
   }
 
   {
     const Graph g = ErdosRenyi(3000, 36000, 7);
-    const SubgraphEnumerator triangle(SampleGraph::Triangle());
+    const SampleGraph triangle = SampleGraph::Triangle();
     Compare("bucket-oriented triangle", parallel,
             [&](const ExecutionPolicy& policy) {
-              return triangle.RunBucketOriented(g, 10, 3, nullptr, policy)
-                  .outputs;
+              return StrategyRegistry::Global()
+                  .Run(EnumerationQuery::Undirected(triangle, g)
+                           .WithStrategy("bucket:10")
+                           .WithSeed(3)
+                           .WithPolicy(policy))
+                  .instances;
             });
   }
 

@@ -13,11 +13,12 @@
 
 #include <cstdio>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "mapreduce/job.h"
 #include "core/triangle_algorithms.h"
 #include "core/two_round_triangles.h"
 #include "graph/generators.h"
+#include "graph/sample_graph.h"
 #include "graph/statistics.h"
 
 namespace smr {
@@ -53,8 +54,13 @@ void Report(const char* name, const Graph& g) {
   const TwoRoundMetrics two_round =
       TwoRoundTriangles(g, NodeOrder::ByDegree(g), nullptr);
   const MapReduceMetrics ordered = OrderedBucketTriangles(g, 8, 3, nullptr);
-  const SubgraphEnumerator squares(SampleGraph::Square());
-  const MapReduceMetrics bucket = squares.RunBucketOriented(g, 4, 3, nullptr);
+  const SampleGraph square = SampleGraph::Square();
+  const MapReduceMetrics bucket =
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(square, g)
+                   .WithStrategy("bucket:4")
+                   .WithSeed(3))
+          .metrics;
   std::printf(
       "  naive per-node grouping:        max=%llu skew=%6.1f\n"
       "  degree-ordered r1 ([19]):       max=%llu skew=%6.1f\n"

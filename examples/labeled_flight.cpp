@@ -93,5 +93,5 @@ int main() {
     std::printf("  people {%u, %u, %u} -> supplier %u\n", group[0], group[1],
                 group[2], group[3] - travellers);
   }
-  return 0;
+  return hits.assignments().size() == serial ? 0 : 1;
 }

@@ -58,5 +58,8 @@ int main(int argc, char** argv) {
   std::printf("serial reference agrees:        %s (%llu)\n",
               serial.instances == ordered.instances ? "yes" : "NO",
               static_cast<unsigned long long>(serial.instances));
-  return 0;
+  return automatic.instances == ordered.instances &&
+                 serial.instances == ordered.instances
+             ? 0
+             : 1;
 }

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/strategy.h"
-#include "core/subgraph_enumerator.h"
+#include "cq/cq_generation.h"
 #include "directed/directed_graph.h"
 #include "graph/generators.h"
 #include "graph/intersect.h"
@@ -374,8 +374,8 @@ int RunCli(int argc, char** argv) {
   std::optional<smr::DirectedSampleGraph> directed_pattern;
   std::optional<smr::DirectedGraph> directed_graph;
 
-  const smr::SubgraphEnumerator enumerator(pattern);
-  smr::EnumerationQuery query = enumerator.MakeQuery(graph);
+  smr::EnumerationQuery query =
+      smr::EnumerationQuery::Undirected(pattern, graph);
   if (!caps.undirected && caps.labeled) {
     std::printf("note:    labeled-only strategy; edges carry uniform "
                 "label 0\n");
@@ -390,7 +390,8 @@ int RunCli(int argc, char** argv) {
     query =
         smr::EnumerationQuery::Directed(*directed_pattern, *directed_graph);
   } else {
-    std::printf("CQ set:  %zu conjunctive queries\n", enumerator.cqs().size());
+    std::printf("CQ set:  %zu conjunctive queries\n",
+                smr::CqsForSample(pattern).size());
   }
   query.WithSpec(spec).WithSeed(seed).WithPolicy(policy).WithSink(sink);
 

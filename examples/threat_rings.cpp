@@ -76,5 +76,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  return 0;
+  return reference == rings_found.assignments().size() ? 0 : 1;
 }

@@ -108,16 +108,6 @@ StrategyCapabilities TriangleCaps() {
   return caps;
 }
 
-/// The query's CQ set: the caller's pre-generated one when present,
-/// otherwise generated into `storage` (Section 3's construction).
-const std::vector<ConjunctiveQuery>& ResolveCqs(
-    const EnumerationQuery& query,
-    std::optional<std::vector<ConjunctiveQuery>>& storage) {
-  if (query.cqs != nullptr) return *query.cqs;
-  storage.emplace(CqsForSample(*query.pattern));
-  return *storage;
-}
-
 EnumerationResult SingleRoundResult(MapReduceMetrics metrics,
                                     JobMetrics job) {
   EnumerationResult result;
@@ -186,8 +176,7 @@ class BucketStrategy : public BuiltinStrategy {
   }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
+    const auto cqs = CqsForSample(*query.pattern);
     JobMetrics job;
     const MapReduceMetrics metrics = BucketOrientedEnumerate(
         *query.pattern, cqs, *query.graph,
@@ -211,9 +200,8 @@ class VariableStrategy : public BuiltinStrategy {
 
   std::optional<double> EstimateCostPerEdge(
       const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
-    const CostExpression expression = CostExpression::ForCqSet(cqs);
+    const CostExpression expression =
+        CostExpression::ForCqSet(CqsForSample(*query.pattern));
     const std::vector<int>& shares = query.spec.values[0].list_value;
     if (shares.empty()) {
       return OptimizeShares(expression, kDefaultBudget).cost_per_edge;
@@ -223,8 +211,7 @@ class VariableStrategy : public BuiltinStrategy {
   }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
+    const auto cqs = CqsForSample(*query.pattern);
     std::vector<int> shares = query.spec.values[0].list_value;
     if (shares.empty()) {
       shares = RoundShares(
@@ -255,16 +242,14 @@ class VariableAutoStrategy : public BuiltinStrategy {
 
   std::optional<double> EstimateCostPerEdge(
       const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
-    return OptimizeShares(CostExpression::ForCqSet(cqs),
-                          query.spec.values[0].double_value)
+    return OptimizeShares(
+               CostExpression::ForCqSet(CqsForSample(*query.pattern)),
+               query.spec.values[0].double_value)
         .cost_per_edge;
   }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
+    const auto cqs = CqsForSample(*query.pattern);
     const ShareSolution solution =
         OptimizeShares(CostExpression::ForCqSet(cqs),
                        query.spec.values[0].double_value);

@@ -1,6 +1,10 @@
 #include "core/plan_advisor.h"
 
+#include <algorithm>
+#include <limits>
+#include <ranges>
 #include <sstream>
+#include <stdexcept>
 
 #include "cq/cq_generation.h"
 #include "mapreduce/job.h"
@@ -8,6 +12,7 @@
 #include "shares/cost_expression.h"
 #include "shares/replication_formulas.h"
 #include "shares/share_optimizer.h"
+#include "util/combinatorics.h"
 
 namespace smr {
 
@@ -73,12 +78,22 @@ std::string StrategyPlan::ToString() const {
 }
 
 int BucketCountForBudget(double k, int num_vars) {
-  int b = 1;
-  while (BucketOrientedReducerCount(b + 1, num_vars) <=
-         static_cast<uint64_t>(k)) {
-    ++b;
+  // 2^64 as a double: a budget at or above it (or NaN) is no reducer
+  // count, and converting it to uint64_t would be undefined.
+  if (!(k < 18446744073709551616.0)) {
+    std::ostringstream os;
+    os << "reducer budget " << k << " exceeds the uint64 reducer-key space";
+    throw std::invalid_argument(os.str());
   }
-  return b;
+  if (k < 1) return 1;
+  const uint64_t budget = static_cast<uint64_t>(k);
+  // C(b+p-1, p) grows with b, so the b that fit are a prefix of 1, 2, ...
+  const auto buckets = std::views::iota(
+      int64_t{1}, int64_t{std::numeric_limits<int>::max()} + 1);
+  const auto past_fit = std::ranges::partition_point(buckets, [&](int64_t b) {
+    return BinomialAtMost(b + num_vars - 1, num_vars, budget);
+  });
+  return static_cast<int>(past_fit - buckets.begin());
 }
 
 double TwoRoundCostPerEdge(uint64_t edges, uint64_t wedges) {

@@ -142,8 +142,9 @@ class CostCalibration {
 /// hooks share, so a plan comparison and a strategy's self-assessment can
 /// never diverge.
 
-/// Largest bucket count b whose bucket-oriented reducer space
-/// C(b+p-1, p) fits in budget k.
+/// Largest b (1 when k < 1, at most INT_MAX) whose bucket-oriented reducer
+/// space C(b+p-1, p) fits in budget k. Throws std::invalid_argument when k
+/// is NaN or >= 2^64, past the uint64 reducer-key space.
 int BucketCountForBudget(double k, int num_vars);
 
 /// Per-edge communication of the two-round triangle pipeline:

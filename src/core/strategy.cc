@@ -211,7 +211,9 @@ StrategySpec Strategy::ResolveSpec(StrategySpec spec) const {
         }
         break;
       case TunableValue::Kind::kDouble:
-        if (value.double_value < decl.min_double) {
+        // The text parser never yields NaN or inf; a built spec can.
+        if (!std::isfinite(value.double_value) ||
+            value.double_value < decl.min_double) {
           SpecError("'" + name() + "' needs " + decl.name + " >= " +
                     TunableValue::Double(decl.min_double).Render() +
                     ", got " + value.Render());

@@ -138,9 +138,9 @@ struct EnumerationQuery {
   const DirectedSampleGraph* directed_pattern = nullptr;
   const DirectedGraph* directed_graph = nullptr;
 
-  /// Optional pre-generated CQ set for `pattern` (Section 3). When null,
-  /// strategies that need it generate it on the fly; SubgraphEnumerator
-  /// passes its cached set so repeated runs don't regenerate.
+  /// Unused: strategies generate the CQ set (Section 3) for `pattern`
+  /// themselves, in microseconds. Kept only so callers that still set it
+  /// compile; new code should leave it alone.
   const std::vector<ConjunctiveQuery>* cqs = nullptr;
 
   StrategySpec spec;
@@ -173,8 +173,8 @@ struct EnumerationResult {
 
   bool has_metrics = false;
   /// The strategy's headline round: the single round for one-round
-  /// strategies (byte-identical to the legacy entry point's return), the
-  /// final round for pipelines.
+  /// strategies (byte-identical to what the free-function kernel returns),
+  /// the final round for pipelines.
   MapReduceMetrics metrics;
   JobMetrics job;
 

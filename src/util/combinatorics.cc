@@ -17,14 +17,19 @@ uint64_t Binomial(int64_t n, int64_t k) {
 }
 
 bool BinomialFitsUint64(int64_t n, int64_t k) {
+  return BinomialAtMost(n, k, UINT64_MAX);
+}
+
+bool BinomialAtMost(int64_t n, int64_t k, uint64_t bound) {
   if (k < 0 || k > n || n < 0) return true;  // Binomial returns 0.
   k = std::min(k, n - k);
   unsigned __int128 result = 1;
   for (int64_t i = 1; i <= k; ++i) {
-    // Exact at every step: the running value is C(n-k+i, i).
+    // Exact at every step: the running value is C(n-k+i, i). It only grows,
+    // so stopping once past the bound keeps the product below 2^127.
     result = result * static_cast<unsigned __int128>(n - k + i) /
              static_cast<unsigned __int128>(i);
-    if (result > static_cast<unsigned __int128>(UINT64_MAX)) return false;
+    if (result > bound) return false;
   }
   return true;
 }

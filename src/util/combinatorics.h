@@ -16,6 +16,9 @@ uint64_t Binomial(int64_t n, int64_t k);
 /// trusting Binomial's value: the plain function wraps silently.
 bool BinomialFitsUint64(int64_t n, int64_t k);
 
+/// True iff C(n, k) <= bound, computed without overflow for any n < 2^63.
+bool BinomialAtMost(int64_t n, int64_t k, uint64_t bound);
+
 /// n! for small n (n <= 20).
 uint64_t Factorial(int n);
 

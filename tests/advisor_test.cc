@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "core/plan_advisor.h"
 #include "core/strategy.h"
-#include "core/subgraph_enumerator.h"
 #include "core/two_round_triangles.h"
 #include "graph/generators.h"
 #include "graph/node_order.h"
@@ -11,6 +15,7 @@
 #include "serial/sampled_triangles.h"
 #include "serial/triangles.h"
 #include "shares/replication_formulas.h"
+#include "util/combinatorics.h"
 
 namespace smr {
 namespace {
@@ -21,6 +26,51 @@ TEST(PlanAdvisor, BucketCountFitsBudget) {
   EXPECT_EQ(plan.buckets, 10);
   EXPECT_DOUBLE_EQ(plan.bucket_cost_per_edge, 10.0);
   EXPECT_EQ(plan.num_cqs, 1u);
+}
+
+TEST(PlanAdvisor, BucketCountMatchesTheLinearScan) {
+  // The bisection picks the same b as a linear scan from b = 1, for every
+  // budget small enough that Binomial stays exact.
+  for (int p = 2; p <= 6; ++p) {
+    for (const double k : {0.5, 1.0, 2.0, 9.9, 10.0, 126.0, 220.0, 256.0,
+                           500.0, 1000.0, 1e6, 1e9}) {
+      int expected = 1;
+      while (Binomial(expected + p, p) <= static_cast<uint64_t>(k)) {
+        ++expected;
+      }
+      EXPECT_EQ(BucketCountForBudget(k, p), expected) << "p=" << p
+                                                       << " k=" << k;
+    }
+  }
+}
+
+TEST(PlanAdvisor, BudgetBeyondTheKeySpaceFailsLoudly) {
+  const double two_to_64 = 18446744073709551616.0;
+  for (const double k : {1e30, two_to_64,
+                         std::numeric_limits<double>::infinity(),
+                         std::nan("")}) {
+    EXPECT_THROW(BucketCountForBudget(k, 4), std::invalid_argument) << k;
+    EXPECT_THROW(PlanEnumeration(SampleGraph::Square(), k),
+                 std::invalid_argument)
+        << k;
+  }
+  // Just below 2^64 still resolves, to the largest b whose reducer count
+  // fits (capped at INT_MAX, which the edge pattern reaches).
+  const double below = std::nextafter(two_to_64, 0.0);
+  const uint64_t budget = static_cast<uint64_t>(below);
+  EXPECT_EQ(BucketCountForBudget(below, 2), std::numeric_limits<int>::max());
+  for (const int p : {3, 4, 6}) {
+    const int64_t b = BucketCountForBudget(below, p);
+    EXPECT_TRUE(BinomialAtMost(b + p - 1, p, budget)) << "p=" << p;
+    EXPECT_FALSE(BinomialAtMost(b + p, p, budget)) << "p=" << p;
+  }
+  // auto:<k> reports the bad budget instead of running bucket:1.
+  const SampleGraph square = SampleGraph::Square();
+  const Graph g = ErdosRenyi(40, 120, 1);
+  EXPECT_THROW(StrategyRegistry::Global().Run(
+                   EnumerationQuery::Undirected(square, g).WithStrategy(
+                       "auto:1e30")),
+               std::invalid_argument);
 }
 
 TEST(PlanAdvisor, TrianglePrefersBucketOriented) {
@@ -36,9 +86,11 @@ TEST(PlanAdvisor, PredictionsMatchMeasurement) {
   const double k = 126;  // C(6+3, 4) = 126 -> b = 6
   const StrategyPlan plan = PlanEnumeration(pattern, k);
   const Graph g = ErdosRenyi(60, 300, 3);
-  const SubgraphEnumerator enumerator(pattern);
   const auto metrics =
-      enumerator.RunBucketOriented(g, plan.buckets, 1, nullptr);
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(pattern, g)
+                   .WithSpec({"bucket", {TunableValue::Int(plan.buckets)}}))
+          .metrics;
   EXPECT_DOUBLE_EQ(metrics.ReplicationRate(), plan.bucket_cost_per_edge);
 }
 

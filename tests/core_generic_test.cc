@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "core/bucket_oriented.h"
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/variable_oriented.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
 #include "serial/matcher.h"
 #include "shares/replication_formulas.h"
+#include "shares/share_optimizer.h"
 #include "tests/test_util.h"
 #include "util/combinatorics.h"
 
@@ -39,9 +40,14 @@ TEST_P(BucketOrientedParam, FindsEachInstanceExactlyOnce) {
   const auto [pattern_id, buckets, seed] = GetParam();
   const SampleGraph pattern = PatternById(pattern_id);
   const Graph g = ErdosRenyi(22, 64, seed);
-  const SubgraphEnumerator enumerator(pattern);
   CollectingSink sink;
-  const auto metrics = enumerator.RunBucketOriented(g, buckets, seed, &sink);
+  const auto metrics =
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(pattern, g)
+                   .WithSpec({"bucket", {TunableValue::Int(buckets)}})
+                   .WithSeed(seed)
+                   .WithSink(&sink))
+          .metrics;
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g))
       << pattern.ToString() << " b=" << buckets << " seed=" << seed;
   // Section 4.5 exact replication: C(b+p-3, p-2) per edge.
@@ -65,13 +71,16 @@ TEST_P(VariableOrientedParam, FindsEachInstanceExactlyOnce) {
   const auto [pattern_id, seed] = GetParam();
   const SampleGraph pattern = PatternById(pattern_id);
   const Graph g = ErdosRenyi(20, 56, seed);
-  const SubgraphEnumerator enumerator(pattern);
   // Uneven shares stress the per-variable hashing.
   std::vector<int> shares(pattern.num_vars(), 2);
   shares[0] = 3;
   shares[pattern.num_vars() - 1] = 1;
   CollectingSink sink;
-  enumerator.RunVariableOriented(g, shares, seed, &sink);
+  StrategyRegistry::Global().Run(
+      EnumerationQuery::Undirected(pattern, g)
+          .WithSpec({"variable", {TunableValue::IntList(shares)}})
+          .WithSeed(seed)
+          .WithSink(&sink));
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g))
       << pattern.ToString() << " seed=" << seed;
 }
@@ -86,10 +95,12 @@ TEST(VariableOriented, CommunicationMatchesCostExpression) {
   // minimizes (Section 4.3).
   const SampleGraph pattern = SampleGraph::Square();
   const Graph g = ErdosRenyi(30, 120, 3);
-  const SubgraphEnumerator enumerator(pattern);
   const std::vector<int> shares = {2, 3, 2, 4};
-  const auto metrics = enumerator.RunVariableOriented(g, shares, 1, nullptr);
-  const auto expression = CostExpression::ForCqSet(enumerator.cqs());
+  const auto metrics = StrategyRegistry::Global()
+                           .Run(EnumerationQuery::Undirected(pattern, g)
+                                    .WithStrategy("variable:2x3x2x4"))
+                           .metrics;
+  const auto expression = CostExpression::ForCqSet(CqsForSample(pattern));
   const std::vector<double> shares_d(shares.begin(), shares.end());
   EXPECT_DOUBLE_EQ(metrics.ReplicationRate(),
                    expression.CostPerEdge(shares_d));
@@ -98,9 +109,13 @@ TEST(VariableOriented, CommunicationMatchesCostExpression) {
 TEST(VariableOriented, AutoSharesApproximateBudget) {
   const SampleGraph pattern = SampleGraph::Triangle();
   const Graph g = ErdosRenyi(24, 80, 4);
-  const SubgraphEnumerator enumerator(pattern);
   CollectingSink sink;
-  const auto metrics = enumerator.RunVariableOrientedAuto(g, 27, 3, &sink);
+  const auto metrics = StrategyRegistry::Global()
+                           .Run(EnumerationQuery::Undirected(pattern, g)
+                                    .WithStrategy("variable-auto:27")
+                                    .WithSeed(3)
+                                    .WithSink(&sink))
+                           .metrics;
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g));
   EXPECT_EQ(metrics.key_space, 27u);  // 3*3*3 for the regular triangle
 }
@@ -148,12 +163,21 @@ TEST(BucketOriented, TrianglesAgreeWithSpecializedAlgorithm) {
   // The generic bucket-oriented path on the triangle pattern is the
   // Section 2.3 algorithm: same replication, same results.
   const Graph g = ErdosRenyi(40, 150, 8);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const StrategyRegistry& registry = StrategyRegistry::Global();
   const int b = 5;
-  const auto metrics = enumerator.RunBucketOriented(g, b, 3, nullptr);
+  const auto metrics =
+      registry
+          .Run(EnumerationQuery::Undirected(triangle, g)
+                   .WithSpec({"bucket", {TunableValue::Int(b)}})
+                   .WithSeed(3))
+          .metrics;
   EXPECT_EQ(metrics.key_value_pairs, g.num_edges() * static_cast<uint64_t>(b));
   EXPECT_EQ(metrics.outputs,
-            enumerator.RunSerial(g, nullptr));
+            registry
+                .Run(EnumerationQuery::Undirected(triangle, g).WithStrategy(
+                    "serial"))
+                .instances);
 }
 
 TEST(BucketOriented, PairPatternWorks) {
@@ -192,28 +216,41 @@ TEST(BucketOriented, ReducerWorkStaysConvertible) {
   }
 }
 
-TEST(SubgraphEnumerator, FacadeEndToEnd) {
-  const SubgraphEnumerator enumerator(SampleGraph::Lollipop());
-  EXPECT_EQ(enumerator.cqs().size(), 6u);  // Fig. 7
+TEST(RegistryEndToEnd, LollipopAgreesAcrossStrategies) {
+  const SampleGraph lollipop = SampleGraph::Lollipop();
+  const auto cqs = CqsForSample(lollipop);
+  EXPECT_EQ(cqs.size(), 6u);  // Fig. 7
   const Graph g = PreferentialAttachment(120, 3, 5);
-  const uint64_t serial = enumerator.RunSerial(g, nullptr);
-  const auto bucket = enumerator.RunBucketOriented(g, 4, 7, nullptr);
+  const StrategyRegistry& registry = StrategyRegistry::Global();
+  const auto query = [&] { return EnumerationQuery::Undirected(lollipop, g); };
+  const uint64_t serial =
+      registry.Run(query().WithStrategy("serial")).instances;
+  const auto bucket =
+      registry.Run(query().WithStrategy("bucket:4").WithSeed(7)).metrics;
   EXPECT_EQ(bucket.outputs, serial);
-  const auto solution = enumerator.OptimalShares(256);
+  const auto solution = OptimizeShares(CostExpression::ForCqSet(cqs), 256);
   EXPECT_LT(solution.residual, 1e-3);
-  const auto variable = enumerator.RunVariableOriented(
-      g, RoundShares(solution.shares), 7, nullptr);
+  const auto variable =
+      registry
+          .Run(query()
+                   .WithSpec({"variable",
+                              {TunableValue::IntList(
+                                  RoundShares(solution.shares))}})
+                   .WithSeed(7))
+          .metrics;
   EXPECT_EQ(variable.outputs, serial);
 }
 
-TEST(SubgraphEnumerator, SkewedGraphStillExact) {
+TEST(RegistryEndToEnd, SkewedGraphStillExact) {
   // A power-law graph concentrates edges at hubs; exactness must not
   // depend on balanced buckets.
   const Graph g = PreferentialAttachment(80, 2, 9);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   CollectingSink sink;
-  enumerator.RunBucketOriented(g, 3, 11, &sink);
+  StrategyRegistry::Global().Run(EnumerationQuery::Undirected(pattern, g)
+                                     .WithStrategy("bucket:3")
+                                     .WithSeed(11)
+                                     .WithSink(&sink));
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g));
 }
 

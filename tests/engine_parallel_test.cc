@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "core/two_round_triangles.h"
 #include "directed/directed_enumeration.h"
@@ -131,9 +131,9 @@ TEST(EngineParallel, EmptyInputAllThreadCounts) {
 
 // Shared harness: run `strategy` at every thread count and require metrics
 // and sorted instance keys identical to the 1-thread run.
-template <typename Strategy>
+template <typename RunFn>
 void ExpectStrategyDeterministic(const SampleGraph& pattern,
-                                 const Strategy& strategy) {
+                                 const RunFn& strategy) {
   CollectingSink serial_sink;
   const MapReduceMetrics serial =
       strategy(ExecutionPolicy::Serial(), &serial_sink);
@@ -158,40 +158,58 @@ void ExpectStrategyDeterministic(const SampleGraph& pattern,
 TEST(EngineParallel, BucketOrientedTriangle) {
   const Graph g = ErdosRenyi(300, 1800, 11);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 4, 1, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:4")
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, BucketOrientedSquare) {
   const Graph g = ErdosRenyi(120, 900, 5);
   const SampleGraph pattern = SampleGraph::Square();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 3, 2, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:3")
+                     .WithSeed(2)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, BucketOrientedLollipop) {
   const Graph g = ErdosRenyi(100, 800, 9);
   const SampleGraph pattern = SampleGraph::Lollipop();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 3, 4, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:3")
+                     .WithSeed(4)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, VariableOrientedTriangle) {
   const Graph g = ErdosRenyi(250, 1500, 3);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunVariableOriented(g, {3, 3, 3}, 1, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("variable:3x3x3")
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
@@ -310,14 +328,22 @@ TEST(EngineParallel, CountingSinkUnbufferedPathMatches) {
   // CountingSink takes the engine's O(1)-memory EmitCount path in parallel
   // runs; the count must match the buffered CollectingSink and the metrics.
   const Graph g = ErdosRenyi(300, 1800, 11);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const auto run = [&](const ExecutionPolicy& policy, InstanceSink* sink) {
+    return StrategyRegistry::Global()
+        .Run(EnumerationQuery::Undirected(triangle, g)
+                 .WithStrategy("bucket:4")
+                 .WithPolicy(policy)
+                 .WithSink(sink))
+        .metrics;
+  };
   CollectingSink collecting;
-  const MapReduceMetrics reference = enumerator.RunBucketOriented(
-      g, 4, 1, &collecting, ExecutionPolicy::Serial());
+  const MapReduceMetrics reference =
+      run(ExecutionPolicy::Serial(), &collecting);
   for (const unsigned threads : kThreadCounts) {
     CountingSink counting;
-    const MapReduceMetrics metrics = enumerator.RunBucketOriented(
-        g, 4, 1, &counting, ExecutionPolicy::WithThreads(threads));
+    const MapReduceMetrics metrics =
+        run(ExecutionPolicy::WithThreads(threads), &counting);
     EXPECT_EQ(metrics, reference) << "threads=" << threads;
     EXPECT_EQ(counting.count(), collecting.assignments().size())
         << "threads=" << threads;
@@ -329,9 +355,13 @@ TEST(EngineParallel, ParallelMatchesGroundTruth) {
   // the reference serial matcher ("each instance exactly once").
   const Graph g = ErdosRenyi(200, 1400, 29);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   CollectingSink sink;
-  enumerator.RunBucketOriented(g, 4, 7, &sink, ExecutionPolicy::WithThreads(8));
+  StrategyRegistry::Global().Run(
+      EnumerationQuery::Undirected(pattern, g)
+          .WithStrategy("bucket:4")
+          .WithSeed(7)
+          .WithPolicy(ExecutionPolicy::WithThreads(8))
+          .WithSink(&sink));
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g));
 }
 

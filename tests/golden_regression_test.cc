@@ -9,9 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "graph/generators.h"
+#include "graph/sample_graph.h"
 #include "mapreduce/execution_policy.h"
 #include "serial/triangles.h"
 
@@ -48,11 +49,20 @@ TEST(GoldenFig1, TriangleAlgorithmCommunication) {
 
 TEST(GoldenFig1, TwoPathBucketOriented) {
   const Graph g = ErdosRenyi(2000, 20000, 42);
-  const SubgraphEnumerator enumerator(SampleGraph::Path(3));
-  EXPECT_EQ(enumerator.RunSerial(g, nullptr), 399024u);
+  const SampleGraph path = SampleGraph::Path(3);
+  const StrategyRegistry& registry = StrategyRegistry::Global();
+  EXPECT_EQ(registry
+                .Run(EnumerationQuery::Undirected(path, g).WithStrategy(
+                    "serial"))
+                .instances,
+            399024u);
 
   const MapReduceMetrics metrics =
-      enumerator.RunBucketOriented(g, 4, 1, nullptr);
+      registry
+          .Run(EnumerationQuery::Undirected(path, g)
+                   .WithStrategy("bucket:4")
+                   .WithSeed(1))
+          .metrics;
   EXPECT_EQ(metrics.outputs, 399024u);
   EXPECT_EQ(metrics.key_value_pairs, 80000u);  // C(b+p-3, p-2) = b = 4 per edge
   EXPECT_EQ(metrics.distinct_keys, 20u);       // C(b+p-1, p) = C(6,3)

@@ -12,9 +12,9 @@ namespace {
 /// Runs one serial round through the declarative API (the only way rounds
 /// run since the RoundSpec/JobDriver refactor).
 template <typename Input, typename Value, typename Map, typename Reduce>
-MapReduceMetrics RunSerialRound(const std::vector<Input>& inputs, Map map_fn,
-                                Reduce reduce_fn, InstanceSink* sink,
-                                uint64_t key_space) {
+MapReduceMetrics RunOneRound(const std::vector<Input>& inputs, Map map_fn,
+                             Reduce reduce_fn, InstanceSink* sink,
+                             uint64_t key_space) {
   JobDriver driver;
   return driver.RunRound(RoundSpec<Input, Value>{"test", map_fn, reduce_fn,
                                                  key_space, {}},
@@ -34,7 +34,7 @@ TEST(Engine, MapShuffleReduceSemantics) {
     for (int v : values) sum += v;
     reduced.emplace_back(key, sum);
   };
-  const MapReduceMetrics metrics = RunSerialRound<int, int>(
+  const MapReduceMetrics metrics = RunOneRound<int, int>(
       inputs, map_fn, reduce_fn, nullptr, /*key_space=*/3);
   EXPECT_EQ(metrics.input_records, 6u);
   EXPECT_EQ(metrics.key_value_pairs, 6u);
@@ -55,7 +55,7 @@ TEST(Engine, ValuesArriveInEmissionOrder) {
   auto reduce_fn = [&](uint64_t, std::span<const int> values, ReduceContext*) {
     seen.assign(values.begin(), values.end());
   };
-  RunSerialRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 1);
+  RunOneRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 1);
   EXPECT_EQ(seen, inputs);
 }
 
@@ -66,7 +66,7 @@ TEST(Engine, ReplicationCountsEveryEmission) {
   };
   auto reduce_fn = [](uint64_t, std::span<const int>, ReduceContext*) {};
   const MapReduceMetrics metrics =
-      RunSerialRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 5);
+      RunOneRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 5);
   EXPECT_EQ(metrics.key_value_pairs, 10u);
   EXPECT_DOUBLE_EQ(metrics.ReplicationRate(), 5.0);
 }
@@ -84,7 +84,7 @@ TEST(Engine, ReducerOutputsAndCostAggregate) {
     context->EmitInstance(assignment);
   };
   const MapReduceMetrics metrics =
-      RunSerialRound<int, int>(inputs, map_fn, reduce_fn, &sink, 100);
+      RunOneRound<int, int>(inputs, map_fn, reduce_fn, &sink, 100);
   EXPECT_EQ(metrics.outputs, 3u);
   EXPECT_EQ(metrics.reduce_cost.candidates, 3u);
   EXPECT_EQ(metrics.reduce_cost.outputs, 3u);
@@ -96,7 +96,7 @@ TEST(Engine, EmptyInput) {
   auto map_fn = [](const int&, Emitter<int>* out) { out->Emit(0, 0); };
   auto reduce_fn = [](uint64_t, std::span<const int>, ReduceContext*) {};
   const MapReduceMetrics metrics =
-      RunSerialRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 1);
+      RunOneRound<int, int>(inputs, map_fn, reduce_fn, nullptr, 1);
   EXPECT_EQ(metrics.key_value_pairs, 0u);
   EXPECT_EQ(metrics.distinct_keys, 0u);
   EXPECT_DOUBLE_EQ(metrics.ReplicationRate(), 0.0);

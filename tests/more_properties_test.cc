@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "cq/cq_generation.h"
 #include "cycles/cycle_cqs.h"
 #include "graph/generators.h"
@@ -30,9 +30,17 @@ TEST(DegenerateStrategies, OneBucketEqualsSerial) {
   for (const auto& pattern :
        {SampleGraph::Triangle(), SampleGraph::Square(),
         SampleGraph::Lollipop()}) {
-    const SubgraphEnumerator enumerator(pattern);
-    const auto metrics = enumerator.RunBucketOriented(g, 1, 1, nullptr);
-    EXPECT_EQ(metrics.outputs, enumerator.RunSerial(g, nullptr))
+    const StrategyRegistry& registry = StrategyRegistry::Global();
+    const auto metrics =
+        registry
+            .Run(EnumerationQuery::Undirected(pattern, g).WithStrategy(
+                "bucket:1"))
+            .metrics;
+    EXPECT_EQ(metrics.outputs,
+              registry
+                  .Run(EnumerationQuery::Undirected(pattern, g).WithStrategy(
+                      "serial"))
+                  .instances)
         << pattern.ToString();
     EXPECT_EQ(metrics.key_value_pairs, g.num_edges());
     EXPECT_EQ(metrics.key_space, 1u);
@@ -43,10 +51,18 @@ TEST(DegenerateStrategies, UnitSharesEqualsSerial) {
   const Graph g = ErdosRenyi(18, 50, 6);
   for (const auto& pattern :
        {SampleGraph::Triangle(), SampleGraph::Square()}) {
-    const SubgraphEnumerator enumerator(pattern);
+    const StrategyRegistry& registry = StrategyRegistry::Global();
     const std::vector<int> shares(pattern.num_vars(), 1);
-    const auto metrics = enumerator.RunVariableOriented(g, shares, 1, nullptr);
-    EXPECT_EQ(metrics.outputs, enumerator.RunSerial(g, nullptr))
+    const auto metrics =
+        registry
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithSpec({"variable", {TunableValue::IntList(shares)}}))
+            .metrics;
+    EXPECT_EQ(metrics.outputs,
+              registry
+                  .Run(EnumerationQuery::Undirected(pattern, g).WithStrategy(
+                      "serial"))
+                  .instances)
         << pattern.ToString();
     EXPECT_EQ(metrics.key_space, 1u);
   }
@@ -146,8 +162,11 @@ TEST(Decomposition, EnumerationOnStarAndTwoEdges) {
 
 TEST(Engine, BytesScaleWithValueSize) {
   const Graph g = ErdosRenyi(20, 40, 2);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
-  const auto metrics = enumerator.RunBucketOriented(g, 3, 1, nullptr);
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const auto metrics = StrategyRegistry::Global()
+                           .Run(EnumerationQuery::Undirected(triangle, g)
+                                    .WithStrategy("bucket:3"))
+                           .metrics;
   EXPECT_EQ(metrics.bytes,
             metrics.key_value_pairs * (sizeof(uint64_t) + sizeof(Edge)));
 }

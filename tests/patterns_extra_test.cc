@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
 #include "serial/bounded_degree.h"
@@ -63,9 +63,12 @@ TEST(AwkwardPatterns, CqCountsMatchQuotient) {
 TEST(AwkwardPatterns, BucketOrientedExactlyOnce) {
   const Graph g = ErdosRenyi(20, 70, 11);
   for (const auto& entry : AwkwardPatterns()) {
-    const SubgraphEnumerator enumerator(entry.pattern);
     CollectingSink sink;
-    enumerator.RunBucketOriented(g, 3, 5, &sink);
+    StrategyRegistry::Global().Run(
+        EnumerationQuery::Undirected(entry.pattern, g)
+            .WithStrategy("bucket:3")
+            .WithSeed(5)
+            .WithSink(&sink));
     EXPECT_EQ(KeysOf(sink, entry.pattern),
               GroundTruthKeys(entry.pattern, g))
         << entry.name;
@@ -75,11 +78,14 @@ TEST(AwkwardPatterns, BucketOrientedExactlyOnce) {
 TEST(AwkwardPatterns, VariableOrientedExactlyOnce) {
   const Graph g = ErdosRenyi(18, 60, 13);
   for (const auto& entry : AwkwardPatterns()) {
-    const SubgraphEnumerator enumerator(entry.pattern);
     std::vector<int> shares(entry.pattern.num_vars(), 2);
     shares[1] = 3;
     CollectingSink sink;
-    enumerator.RunVariableOriented(g, shares, 5, &sink);
+    StrategyRegistry::Global().Run(
+        EnumerationQuery::Undirected(entry.pattern, g)
+            .WithSpec({"variable", {TunableValue::IntList(shares)}})
+            .WithSeed(5)
+            .WithSink(&sink));
     EXPECT_EQ(KeysOf(sink, entry.pattern),
               GroundTruthKeys(entry.pattern, g))
         << entry.name;

@@ -34,7 +34,8 @@ namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 4, 8};
 // Unbounded, comfortable, exactly one page, and below one page — the last
-// exercises the "own resident >= one page" leg of the spill trigger.
+// exercises the "own resident >= spill floor" leg of the spill trigger
+// (PagePool::kSpillFloorBytes, half a page).
 const uint64_t kBudgets[] = {uint64_t{1} << 20, PagePool::kPageBytes,
                              4 * 1024};
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -14,7 +16,6 @@
 #include "core/bucket_oriented.h"
 #include "core/plan_advisor.h"
 #include "core/strategy.h"
-#include "core/subgraph_enumerator.h"
 #include "core/triangle_algorithms.h"
 #include "core/triangle_census.h"
 #include "core/two_round_triangles.h"
@@ -190,6 +191,27 @@ TEST(StrategySpec, RejectsGarbageAndOverflowInsteadOfRunningWithZero) {
   };
   for (const char* spec : bad) {
     EXPECT_THROW(ParseStrategySpec(spec), std::invalid_argument) << spec;
+  }
+}
+
+TEST(StrategySpec, RejectsNonFiniteBudgetsBuiltInCode) {
+  // The text parser rejects "nan" and "inf"; a spec built in code skips
+  // it, so ResolveSpec (which every Run goes through) must reject them too.
+  const SampleGraph pattern = SampleGraph::Triangle();
+  const Graph graph = TestGraph();
+  const double infinity = std::numeric_limits<double>::infinity();
+  for (const char* name : {"variable-auto", "auto"}) {
+    const Strategy& strategy = StrategyRegistry::Global().Require(name);
+    for (const double k : {std::nan(""), infinity, -infinity}) {
+      const StrategySpec spec{name, {TunableValue::Double(k)}};
+      EXPECT_THROW(strategy.ResolveSpec(spec), std::invalid_argument)
+          << name << " k=" << k;
+      EXPECT_THROW(StrategyRegistry::Global().Run(
+                       EnumerationQuery::Undirected(pattern, graph)
+                           .WithSpec(spec)),
+                   std::invalid_argument)
+          << name << " k=" << k;
+    }
   }
 }
 
@@ -647,25 +669,6 @@ TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
             std::string::npos);
   EXPECT_EQ(DescribePolicy(ExecutionPolicy::Serial()).find("process"),
             std::string::npos);
-}
-
-TEST(StrategyRegistry, WrapperAndDirectQueryShareOneCodePath) {
-  // The deprecated SubgraphEnumerator wrappers are documented as thin
-  // shims over the registry: same metrics, same emissions.
-  const SampleGraph pattern = SampleGraph::Lollipop();
-  const Graph graph = TestGraph();
-  const SubgraphEnumerator enumerator(pattern);
-
-  CollectingSink wrapper_sink;
-  const MapReduceMetrics wrapper_metrics =
-      enumerator.RunBucketOriented(graph, 5, 1, &wrapper_sink);
-
-  CollectingSink query_sink;
-  const EnumerationResult result = StrategyRegistry::Global().Run(
-      enumerator.MakeQuery(graph).WithStrategy("bucket:5").WithSink(
-          &query_sink));
-  EXPECT_TRUE(result.metrics == wrapper_metrics);
-  EXPECT_EQ(query_sink.assignments(), wrapper_sink.assignments());
 }
 
 }  // namespace
