@@ -11,10 +11,11 @@
 // Also prints the (alpha, beta) costs and convertibility verdicts of the
 // decomposition algorithm (Theorem 7.2) for a catalog of patterns.
 //
-// Exits 1 when a bucket-oriented square ratio exceeds kSquareBound, the
-// bound tests/core_generic_test.cc asserts, when the ordered-bucket
-// reducers' candidates differ from the same-order serial kernel's, or when
-// any count differs from the serial one.
+// Exits 1 when a bucket-oriented square ratio exceeds kSquareBound (the
+// bound tests/core_generic_test.cc asserts) or a lollipop ratio exceeds
+// kLollipopBound, when the ordered-bucket reducers' candidates differ from
+// the same-order serial kernel's, or when any count differs from the
+// serial one.
 
 #include <cstdio>
 #include <string>
@@ -31,15 +32,29 @@
 namespace smr {
 namespace {
 
-constexpr double kSquareBound = 1.5;
+constexpr double kSquareBound = 1.0;
+// The lollipop measures 1.5-5.2x the matcher on these graphs; the bound
+// leaves room for that spread, not for a plan that closes its triangle
+// last (16-22x).
+constexpr double kLollipopBound = 6.0;
 
 struct NamedGraph {
   const char* name;
   Graph graph;
 };
 
-/// Prints one pattern's table; returns false if a square ratio breaks the
-/// bound.
+/// The gate on a pattern's ratio: kSquareBound for the square,
+/// kLollipopBound for the lollipop, none (0) for the rest.
+double BoundFor(const SampleGraph& pattern) {
+  if (pattern.edges() == SampleGraph::Square().edges()) return kSquareBound;
+  if (pattern.edges() == SampleGraph::Lollipop().edges()) {
+    return kLollipopBound;
+  }
+  return 0;
+}
+
+/// Prints one pattern's table; returns false if a ratio breaks the
+/// pattern's bound.
 bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
   const Graph& g = input.graph;
   CostCounter serial_cost;
@@ -51,8 +66,7 @@ bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
               static_cast<unsigned long long>(serial_cost.Total()));
   std::printf("  %4s %12s %14s %12s %8s\n", "b", "reducers", "reduce_ops",
               "outputs", "ratio");
-  const bool is_square = pattern.num_vars() == 4 &&
-                         pattern.edges() == SampleGraph::Square().edges();
+  const double bound = BoundFor(pattern);
   bool ok = true;
   for (int b : {2, 3, 4, 6}) {
     const EnumerationResult result = StrategyRegistry::Global().Run(
@@ -62,7 +76,7 @@ bool RunPattern(const SampleGraph& pattern, const NamedGraph& input) {
     const MapReduceMetrics& metrics = result.metrics;
     const double ratio = static_cast<double>(metrics.reduce_cost.Total()) /
                          static_cast<double>(serial_cost.Total());
-    const bool over = is_square && ratio > kSquareBound;
+    const bool over = bound > 0 && ratio > bound;
     std::printf("  %4d %12llu %14llu %12llu %8.2f%s\n", b,
                 static_cast<unsigned long long>(metrics.key_space),
                 static_cast<unsigned long long>(metrics.reduce_cost.Total()),
@@ -143,8 +157,9 @@ int Run() {
       {"PA(1200, 6)", PreferentialAttachment(1200, 6, 17)}};
   std::printf(
       "Theorem 6.1: total reducer ops vs serial matcher ops (should stay\n"
-      "within a constant factor as reducers grow; square bound %.2f)\n\n",
-      kSquareBound);
+      "within a constant factor as reducers grow; square bound %.2f,\n"
+      "lollipop bound %.2f)\n\n",
+      kSquareBound, kLollipopBound);
 
   const SampleGraph patterns[] = {SampleGraph::Triangle(),
                                   SampleGraph::Square(),
@@ -171,10 +186,11 @@ int Run() {
                 IsConvertible(cost, pattern.num_vars()) ? "yes" : "no");
   }
   if (!ok) {
-    std::printf("\nFAIL: a bucket-oriented square ratio exceeds %.2f, the "
-                "ordered-bucket reducers explore wedges they do not own, or "
-                "a count differs from the serial one\n",
-                kSquareBound);
+    std::printf("\nFAIL: a bucket-oriented square ratio exceeds %.2f or a "
+                "lollipop ratio exceeds %.2f, the ordered-bucket reducers "
+                "explore wedges they do not own, or a count differs from "
+                "the serial one\n",
+                kSquareBound, kLollipopBound);
   }
   return ok ? 0 : 1;
 }

@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "directed/directed_graph.h"
 #include "graph/sample_graph.h"
+#include "labeled/labeled_graph.h"
 #include "util/parse.h"
 
 namespace smr {
@@ -27,6 +29,23 @@ std::vector<std::string> SplitOn(std::string_view s, char sep) {
 
 [[noreturn]] void SpecError(const std::string& message) {
   throw std::invalid_argument("strategy spec: " + message);
+}
+
+int PatternVars(const EnumerationQuery& query) {
+  if (query.pattern != nullptr) return query.pattern->num_vars();
+  if (query.labeled_pattern != nullptr) {
+    return query.labeled_pattern->num_vars();
+  }
+  return query.directed_pattern->num_vars();
+}
+
+/// Number of pattern edges (arcs, for a directed pattern) at variable v.
+int VariableDegree(const EnumerationQuery& query, int v) {
+  if (query.pattern != nullptr) return query.pattern->Degree(v);
+  if (query.labeled_pattern != nullptr) {
+    return query.labeled_pattern->skeleton().Degree(v);
+  }
+  return static_cast<int>(query.directed_pattern->Neighbors(v).size());
 }
 
 }  // namespace
@@ -377,6 +396,19 @@ EnumerationResult StrategyRegistry::Run(const EnumerationQuery& query) const {
     SpecError("strategy '" + strategy.name() +
               "' is restricted to the triangle pattern, got " +
               query.pattern->ToString());
+  }
+
+  // Map-reduce reducers see only the edges shipped to them, so a data node
+  // no edge reaches is never bound; a pattern variable in no edge would
+  // silently miss every instance that maps it there.
+  if (strategy.name() != "serial") {
+    for (int v = 0; v < PatternVars(query); ++v) {
+      if (VariableDegree(query, v) > 0) continue;
+      SpecError("strategy '" + strategy.name() + "' cannot bind pattern "
+                "variable " + std::to_string(v) +
+                ", which lies in no pattern edge (reducers see only edges); "
+                "use 'serial'");
+    }
   }
 
   EnumerationQuery resolved = query;

@@ -255,7 +255,9 @@ class StrategyRegistry {
 
   /// Dispatches `query` to its strategy: resolves the spec, checks the
   /// capability flags against the query's family and pattern, and runs.
-  /// Throws std::invalid_argument on unknown strategy or mismatch.
+  /// Throws std::invalid_argument on unknown strategy or mismatch, and for
+  /// every strategy but "serial" when a pattern variable lies in no pattern
+  /// edge: reducers see only edges, so they could never bind it.
   EnumerationResult Run(const EnumerationQuery& query) const;
 
  private:

@@ -11,6 +11,7 @@
 
 #include "graph/intersect.h"
 #include "graph/node_order.h"
+#include "graph/rank_window.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/triangles.h"
@@ -147,10 +148,7 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
                    bucket_begin.begin());
   // The part of an ascending rank list that falls in bucket t.
   auto window = [&](std::span<const NodeId> ranks, int t) {
-    const auto lo =
-        std::lower_bound(ranks.begin(), ranks.end(), bucket_begin[t]);
-    const auto hi = std::lower_bound(lo, ranks.end(), bucket_begin[t + 1]);
-    return std::span<const NodeId>(lo, hi);
+    return RankWindow(ranks, bucket_begin[t], bucket_begin[t + 1]);
   };
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {

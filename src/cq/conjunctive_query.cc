@@ -53,8 +53,7 @@ void ConjunctiveQuery::MergeCondition(const ConjunctiveQuery& other) {
       allowed_orders_.end());
 }
 
-ConjunctiveQuery::ConditionAtoms ConjunctiveQuery::Atoms() const {
-  // before[a][b] = true iff a precedes b in every admissible order.
+std::vector<std::vector<bool>> ConjunctiveQuery::EntailedBefore() const {
   std::vector<std::vector<bool>> before(num_vars_,
                                         std::vector<bool>(num_vars_, true));
   for (int a = 0; a < num_vars_; ++a) before[a][a] = false;
@@ -66,10 +65,16 @@ ConjunctiveQuery::ConditionAtoms ConjunctiveQuery::Atoms() const {
       }
     }
   }
+  return before;
+}
+
+ConjunctiveQuery::ConditionAtoms ConjunctiveQuery::Atoms() const {
+  const std::vector<std::vector<bool>> before = EntailedBefore();
   ConditionAtoms atoms;
   for (int a = 0; a < num_vars_; ++a) {
     for (int b = 0; b < num_vars_; ++b) {
       if (!before[a][b]) continue;
+      atoms.entailed.emplace_back(a, b);
       // Transitive reduction: skip if an intermediate c gives a < c < b.
       bool implied = false;
       for (int c = 0; c < num_vars_ && !implied; ++c) {
@@ -87,19 +92,9 @@ ConjunctiveQuery::ConditionAtoms ConjunctiveQuery::Atoms() const {
 }
 
 bool ConjunctiveQuery::ConditionIsPartialOrderExact() const {
-  // Recover the full entailed partial order, then count its linear
-  // extensions by filtering all permutations (patterns are small).
-  std::vector<std::vector<bool>> before(num_vars_,
-                                        std::vector<bool>(num_vars_, true));
-  for (int a = 0; a < num_vars_; ++a) before[a][a] = false;
-  for (const auto& order : allowed_orders_) {
-    const std::vector<int> position = Inverse(order);
-    for (int a = 0; a < num_vars_; ++a) {
-      for (int b = 0; b < num_vars_; ++b) {
-        if (a != b && position[a] >= position[b]) before[a][b] = false;
-      }
-    }
-  }
+  // Count the linear extensions of the entailed partial order by filtering
+  // all permutations (patterns are small).
+  const std::vector<std::vector<bool>> before = EntailedBefore();
   uint64_t extensions = 0;
   for (const auto& order : AllPermutations(num_vars_)) {
     const std::vector<int> position = Inverse(order);

@@ -23,8 +23,8 @@ namespace smr {
 /// conditions (footnote 5 of the paper allows conditions that are not
 /// conjunctions of simple comparisons — they are applied as a selection at
 /// the end of the Reduce function). The comparison atoms every admissible
-/// order entails (Atoms().less) are necessary conditions, so CqEvaluator
-/// also prunes with them inside the join.
+/// order entails (Atoms().entailed) are necessary conditions, so
+/// CqEvaluator also prunes with them inside the join.
 class ConjunctiveQuery {
  public:
   ConjunctiveQuery(int num_vars, std::vector<std::pair<int, int>> subgoals,
@@ -56,11 +56,13 @@ class ConjunctiveQuery {
   void MergeCondition(const ConjunctiveQuery& other);
 
   /// The comparison atoms entailed by the condition: the pairs (a, b) such
-  /// that X_a < X_b in *every* admissible order, as a transitively reduced
-  /// list, plus the pairs left unordered (printed as X_a != X_b, which is
-  /// how Fig. 7 of the paper displays OR-merged conditions).
+  /// that X_a < X_b in *every* admissible order, in full and as a
+  /// transitively reduced list, plus the pairs left unordered (printed as
+  /// X_a != X_b, which is how Fig. 7 of the paper displays OR-merged
+  /// conditions).
   struct ConditionAtoms {
-    std::vector<std::pair<int, int>> less;      // transitive reduction
+    std::vector<std::pair<int, int>> entailed;   // transitively closed
+    std::vector<std::pair<int, int>> less;       // transitive reduction
     std::vector<std::pair<int, int>> unordered;  // a < b positionally
   };
   ConditionAtoms Atoms() const;
@@ -73,6 +75,9 @@ class ConjunctiveQuery {
   std::string ToString(const std::vector<std::string>& names = {}) const;
 
  private:
+  /// before[a][b]: X_a < X_b in every admissible order.
+  std::vector<std::vector<bool>> EntailedBefore() const;
+
   int num_vars_;
   std::vector<std::pair<int, int>> subgoals_;
   std::vector<std::vector<int>> allowed_orders_;

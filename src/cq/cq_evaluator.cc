@@ -6,18 +6,22 @@
 #include <string>
 #include <vector>
 
+#include "graph/intersect.h"
+#include "graph/rank_window.h"
+
 namespace smr {
 
 namespace {
 
 enum class StepKind { kAnchored, kEdgeSeed, kFree };
 
-/// One step of the join plan. An anchored step binds `var` from the
-/// adjacency of `anchor_var` (successors if the connecting subgoal is
-/// (anchor, var), predecessors if it is (var, anchor)) and then verifies
-/// `check_subgoals`. When the CQ has several connected components, an
-/// edge-seed step instead binds (var, var2) by scanning the whole oriented
-/// edge list, starting the next component. A free step binds a variable in
+/// One step of the join plan. An edge-seed step binds the subgoal
+/// (var, var2) by scanning the whole edge list; it starts the join and
+/// every further connected component of the CQ. An anchored step binds
+/// `var` from the neighbours of `anchor_var` (above the anchor's rank if
+/// the connecting subgoal is (anchor, var), below it if it is (var,
+/// anchor)) and closes the subgoals to the bound `partners` by
+/// intersecting their neighbour windows. A free step binds a variable in
 /// no subgoal at all (an isolated pattern node) by scanning every node.
 struct PlanStep {
   StepKind kind = StepKind::kAnchored;
@@ -25,100 +29,136 @@ struct PlanStep {
   int var2 = -1;       // kEdgeSeed only
   int anchor_var = -1;
   bool anchor_is_smaller = false;  // true: subgoal (anchor, var)
-  std::vector<std::pair<int, int>> check_subgoals;
+  /// Anchored steps: the other bound variables `var` shares a subgoal
+  /// with. Each one's neighbour window is intersected into the candidates.
+  std::vector<int> partners;
   /// Edge-seed and free steps: the order atoms (a, b), X_a < X_b, whose
   /// later-bound variable this step binds, tested explicitly.
   std::vector<std::pair<int, int>> atoms;
   /// Anchored steps: bound variables that `var` must follow / precede, from
-  /// this step's atoms and check subgoals. They bound the rank window of
-  /// the candidate list instead of being tested per candidate.
+  /// this step's atoms and subgoals. They bound the rank window of every
+  /// neighbour list instead of being tested per candidate.
   std::vector<int> after;
   std::vector<int> before;
+  /// Variables bound before this step whose node the new one(s) must
+  /// differ from. At an anchored step the window already excludes the
+  /// nodes of `after` and `before`, so only the rest are compared.
+  std::vector<int> distinct_from;
 };
 
-struct JoinPlan {
-  int seed_a = -1;  // first subgoal: E(X_seed_a, X_seed_b)
-  int seed_b = -1;
-  std::vector<PlanStep> steps;  // free steps last
-};
-
-JoinPlan BuildPlan(const ConjunctiveQuery& cq) {
-  JoinPlan plan;
+/// Orders the join so cycles close early. The seed is the subgoal whose
+/// endpoints have the largest summed pattern degree; each later step binds
+/// the variable with the most bound pattern neighbours, so a triangle
+/// through a hub closes before a pendant edge is expanded. Ties go to the
+/// first subgoal in sorted order, which leaves the plans of the
+/// degree-regular patterns (triangle, square, cliques, cycles) and of
+/// Path(3) and stars as the subgoal order gives them.
+std::vector<PlanStep> BuildPlan(const ConjunctiveQuery& cq) {
+  std::vector<PlanStep> plan;
   const auto& subgoals = cq.subgoals();
-  std::vector<bool> bound(cq.num_vars(), false);
+  const int p = cq.num_vars();
+  std::vector<int> degree(p, 0);
+  for (const auto& [a, b] : subgoals) {
+    ++degree[a];
+    ++degree[b];
+  }
+  std::vector<bool> bound(p, false);
   std::vector<bool> used_subgoal(subgoals.size(), false);
+  auto seed_step = [&](size_t s) {
+    PlanStep step;
+    step.kind = StepKind::kEdgeSeed;
+    step.var = subgoals[s].first;
+    step.var2 = subgoals[s].second;
+    used_subgoal[s] = true;
+    bound[step.var] = bound[step.var2] = true;
+    return step;
+  };
+  auto bound_neighbours = [&](int v) {
+    int count = 0;
+    for (const auto& [x, y] : subgoals) {
+      if ((x == v && bound[y]) || (y == v && bound[x])) ++count;
+    }
+    return count;
+  };
 
-  plan.seed_a = subgoals[0].first;
-  plan.seed_b = subgoals[0].second;
-  bound[plan.seed_a] = bound[plan.seed_b] = true;
-  used_subgoal[0] = true;
-
+  size_t seed = 0;
+  for (size_t s = 1; s < subgoals.size(); ++s) {
+    if (degree[subgoals[s].first] + degree[subgoals[s].second] >
+        degree[subgoals[seed].first] + degree[subgoals[seed].second]) {
+      seed = s;
+    }
+  }
+  plan.push_back(seed_step(seed));
   while (true) {
-    // Prefer a subgoal with exactly one bound endpoint; if none exists but
-    // unused subgoals remain, the CQ has another connected component — seed
-    // it from the edge list.
+    // Prefer a subgoal with exactly one bound endpoint, the unbound one
+    // having the most bound neighbours; if none exists but unused subgoals
+    // remain, the CQ has another connected component — seed it from the
+    // edge list. A fresh component's seed edge closes nothing.
     int chosen = -1;
+    int chosen_neighbours = 0;
     int unseeded = -1;
     for (size_t s = 0; s < subgoals.size(); ++s) {
       if (used_subgoal[s]) continue;
       const auto [a, b] = subgoals[s];
       if (bound[a] != bound[b]) {
-        chosen = static_cast<int>(s);
-        break;
-      }
-      if (unseeded < 0 && !bound[a] && !bound[b]) {
+        const int neighbours = bound_neighbours(bound[a] ? b : a);
+        if (neighbours > chosen_neighbours) {
+          chosen = static_cast<int>(s);
+          chosen_neighbours = neighbours;
+        }
+      } else if (unseeded < 0 && !bound[a] && !bound[b]) {
         unseeded = static_cast<int>(s);
       }
     }
     if (chosen < 0 && unseeded < 0) break;
-    PlanStep step;
-    if (chosen >= 0) {
-      const auto [a, b] = subgoals[chosen];
-      step.anchor_is_smaller = bound[a];
-      step.anchor_var = bound[a] ? a : b;
-      step.var = bound[a] ? b : a;
-      used_subgoal[chosen] = true;
-      bound[step.var] = true;
-    } else {
-      const auto [a, b] = subgoals[unseeded];
-      step.kind = StepKind::kEdgeSeed;
-      step.var = a;
-      step.var2 = b;
-      used_subgoal[unseeded] = true;
-      bound[a] = bound[b] = true;
+    if (chosen < 0) {
+      plan.push_back(seed_step(unseeded));
+      continue;
     }
-    // Any other not-yet-used subgoal whose endpoints are now both bound
-    // becomes a check at this step.
+    PlanStep step;
+    const auto [a, b] = subgoals[chosen];
+    step.anchor_is_smaller = bound[a];
+    step.anchor_var = bound[a] ? a : b;
+    step.var = bound[a] ? b : a;
+    used_subgoal[chosen] = true;
+    (step.anchor_is_smaller ? step.after : step.before)
+        .push_back(step.anchor_var);
+    // Every other subgoal between `var` and a bound variable closes here.
+    // Its orientation bounds the window like the anchor's.
     for (size_t s = 0; s < subgoals.size(); ++s) {
       if (used_subgoal[s]) continue;
       const auto [x, y] = subgoals[s];
-      if (bound[x] && bound[y]) {
-        step.check_subgoals.push_back(subgoals[s]);
+      if (x == step.var && bound[y]) {
+        step.partners.push_back(y);
+        step.before.push_back(y);
+        used_subgoal[s] = true;
+      } else if (y == step.var && bound[x]) {
+        step.partners.push_back(x);
+        step.after.push_back(x);
         used_subgoal[s] = true;
       }
     }
-    plan.steps.push_back(std::move(step));
+    bound[step.var] = true;
+    plan.push_back(std::move(step));
   }
-  for (int v = 0; v < cq.num_vars(); ++v) {
+  for (int v = 0; v < p; ++v) {
     if (bound[v]) continue;
     PlanStep step;
     step.kind = StepKind::kFree;
     step.var = v;
-    plan.steps.push_back(std::move(step));
+    plan.push_back(std::move(step));
   }
 
-  // Attach each order atom to the step binding its later variable. Atoms
-  // between the two seed variables need no test: the seed subgoal already
-  // orders them, and a contradicting atom is left to the final selection.
-  std::vector<size_t> bound_at(cq.num_vars(), 0);  // 0 = seed, i+1 = step i
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    bound_at[plan.steps[i].var] = i + 1;
-    if (plan.steps[i].var2 >= 0) bound_at[plan.steps[i].var2] = i + 1;
+  // Attach each entailed order pair (the full transitive closure, so
+  // X1 < X2 < X3 also cuts X3's window by X1) to the step binding its
+  // later variable.
+  std::vector<size_t> bound_at(p, 0);
+  for (size_t i = 0; i < plan.size(); ++i) {
+    bound_at[plan[i].var] = i;
+    if (plan[i].var2 >= 0) bound_at[plan[i].var2] = i;
   }
-  for (const auto& [a, b] : cq.Atoms().less) {
-    const size_t at = std::max(bound_at[a], bound_at[b]);
-    if (at == 0) continue;
-    PlanStep& step = plan.steps[at - 1];
+  for (const auto& [a, b] : cq.Atoms().entailed) {
+    PlanStep& step = plan[std::max(bound_at[a], bound_at[b])];
     if (step.kind != StepKind::kAnchored) {
       step.atoms.emplace_back(a, b);
     } else if (b == step.var) {
@@ -127,20 +167,31 @@ JoinPlan BuildPlan(const ConjunctiveQuery& cq) {
       step.before.push_back(b);
     }
   }
-  for (PlanStep& step : plan.steps) {
-    if (step.kind != StepKind::kAnchored) continue;
-    for (const auto& [x, y] : step.check_subgoals) {
-      if (y == step.var) step.after.push_back(x);
-      if (x == step.var) step.before.push_back(y);
+  for (size_t i = 0; i < plan.size(); ++i) {
+    PlanStep& step = plan[i];
+    for (std::vector<int>* vars : {&step.after, &step.before}) {
+      std::sort(vars->begin(), vars->end());
+      vars->erase(std::unique(vars->begin(), vars->end()), vars->end());
+    }
+    for (int v = 0; v < p; ++v) {
+      if (bound_at[v] < i &&
+          !std::binary_search(step.after.begin(), step.after.end(), v) &&
+          !std::binary_search(step.before.begin(), step.before.end(), v)) {
+        step.distinct_from.push_back(v);
+      }
     }
   }
   return plan;
 }
 
-/// Checks `ownership` against the evaluator's order and returns where each
-/// colour's ranks start: colour c holds ranks [begin[c], begin[c + 1]).
-std::vector<uint32_t> ColourRanks(const Ownership& ownership,
-                                  const NodeOrder& order) {
+/// An Ownership checked against the evaluator's order, in rank space.
+struct RankColours {
+  std::vector<int> colour_of_rank;
+  /// Colour c holds ranks [begin[c], begin[c + 1]).
+  std::vector<uint32_t> begin;
+};
+
+RankColours ColourRanks(const Ownership& ownership, const NodeOrder& order) {
   const NodeId n = order.num_nodes();
   if (ownership.colour.size() != n) {
     throw std::invalid_argument(
@@ -152,8 +203,9 @@ std::vector<uint32_t> ColourRanks(const Ownership& ownership,
   for (const int q : ownership.quota) {
     if (q < 0) throw std::invalid_argument("ownership quota is negative");
   }
-  std::vector<int> colour_of_rank(n);
-  std::vector<uint32_t> begin(colours + 1, 0);
+  RankColours ranks;
+  ranks.colour_of_rank.resize(n);
+  ranks.begin.assign(colours + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
     const int c = ownership.colour[u];
     if (c < 0 || c >= colours) {
@@ -162,129 +214,103 @@ std::vector<uint32_t> ColourRanks(const Ownership& ownership,
                                   " is outside [0, " +
                                   std::to_string(colours) + ")");
     }
-    colour_of_rank[order.Rank(u)] = c;
-    ++begin[c + 1];
+    ranks.colour_of_rank[order.Rank(u)] = c;
+    ++ranks.begin[c + 1];
   }
   for (NodeId r = 1; r < n; ++r) {
-    if (colour_of_rank[r] < colour_of_rank[r - 1]) {
+    if (ranks.colour_of_rank[r] < ranks.colour_of_rank[r - 1]) {
       throw std::invalid_argument(
           "ownership colours must be nondecreasing along the node order");
     }
   }
-  std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  return begin;
+  std::partial_sum(ranks.begin.begin(), ranks.begin.end(),
+                   ranks.begin.begin());
+  return ranks;
 }
 
+/// The join's working state. It binds variables to node *ranks*: windows,
+/// order atoms, distinctness and ownership are all rank comparisons, and
+/// node ids are looked up only to emit.
 struct EvalState {
   const ConjunctiveQuery* cq;
   const Graph* graph;
   const NodeOrder* order;
-  const OrientedAdjacency* successors;
-  const OrientedAdjacency* predecessors;
-  const JoinPlan* plan;
+  // The evaluator's rank-space adjacency (see CqEvaluator::offsets_).
+  const size_t* offsets;
+  const NodeId* neighbours;
+  const NodeId* node_of_rank;
+  const std::vector<PlanStep>* plan;
   InstanceSink* sink;
   CostCounter* cost;  // never null: a dummy when the caller passed none
-  // Ownership: null `colour` means the join is unowned.
+  // Ownership: null `colour` (indexed by rank) means the join is unowned.
   const int* colour = nullptr;
   std::vector<int> quota;  // what is left of each colour's quota
   const std::vector<uint32_t>* colour_begin = nullptr;
-  std::vector<NodeId> assignment;
-  std::vector<bool> bound;
+  std::vector<uint32_t> rank;  // by variable
+  /// Per-depth intersection buffers: two per step (a fold over several
+  /// partners ping-pongs between them), each with room for the longest
+  /// neighbour list plus kIntersectSlack.
+  std::vector<NodeId> scratch;
+  size_t scratch_stride = 0;
+  std::vector<std::span<const NodeId>> windows;  // reused by every step
   std::vector<int> scratch_order;
+  std::vector<NodeId> assignment;  // node ids, filled at emission
   uint64_t found = 0;
 
-  bool SubgoalHolds(int a, int b) {
-    ++cost->index_probes;
-    return order->Less(assignment[a], assignment[b]) &&
-           graph->HasEdge(assignment[a], assignment[b]);
-  }
-
-  bool ChecksHold(const PlanStep& step) {
-    for (const auto& [a, b] : step.check_subgoals) {
-      if (!SubgoalHolds(a, b)) return false;
-    }
-    return true;
+  std::span<const NodeId> Neighbours(uint32_t r) const {
+    return {neighbours + offsets[r], neighbours + offsets[r + 1]};
   }
 
   bool AtomsHold(const PlanStep& step) const {
     for (const auto& [a, b] : step.atoms) {
-      if (!order->Less(assignment[a], assignment[b])) return false;
+      if (rank[a] >= rank[b]) return false;
     }
     return true;
   }
 
-  bool Distinct(NodeId node) const {
-    for (size_t x = 0; x < assignment.size(); ++x) {
-      if (bound[x] && assignment[x] == node) return false;
+  bool Distinct(const PlanStep& step, uint32_t r) const {
+    for (const int x : step.distinct_from) {
+      if (rank[x] == r) return false;
     }
     return true;
   }
 
-  /// Spends one unit of `node`'s colour quota; false if it is exhausted.
-  bool Spend(NodeId node) {
+  /// Spends one unit of rank `r`'s colour quota; false if it is exhausted.
+  bool Spend(uint32_t r) {
     if (colour == nullptr) return true;
-    int& left = quota[colour[node]];
+    int& left = quota[colour[r]];
     if (left == 0) return false;
     --left;
     return true;
   }
 
-  void Refund(NodeId node) {
-    if (colour != nullptr) ++quota[colour[node]];
+  void Refund(uint32_t r) {
+    if (colour != nullptr) ++quota[colour[r]];
   }
 
   void EmitIfAllowed() {
-    // Induced total order of the variables, smallest node first.
-    scratch_order.resize(assignment.size());
+    // Induced total order of the variables, smallest rank first.
+    scratch_order.resize(rank.size());
     std::iota(scratch_order.begin(), scratch_order.end(), 0);
-    std::sort(scratch_order.begin(), scratch_order.end(), [this](int a, int b) {
-      return order->Less(assignment[a], assignment[b]);
-    });
+    std::sort(scratch_order.begin(), scratch_order.end(),
+              [this](int a, int b) { return rank[a] < rank[b]; });
     ++cost->candidates;
     if (!cq->OrderAllowed(scratch_order)) return;
     ++found;
     ++cost->outputs;
-    if (sink != nullptr) sink->Emit(assignment);
-  }
-
-  /// The part of an anchored step's candidate list whose ranks lie in
-  /// [lo, hi). Successor lists ascend by rank and predecessor lists
-  /// descend, so the part is contiguous.
-  std::span<const NodeId> Window(const PlanStep& step,
-                                 std::span<const NodeId> list, uint32_t lo,
-                                 uint32_t hi) const {
-    const NodeOrder& ord = *order;
-    const uint32_t n = ord.num_nodes();
-    auto first = list.begin();
-    auto last = list.end();
-    if (step.anchor_is_smaller) {
-      if (lo > 0) {
-        first = std::partition_point(
-            first, last, [&](NodeId x) { return ord.Rank(x) < lo; });
-      }
-      if (hi < n) {
-        last = std::partition_point(
-            first, last, [&](NodeId x) { return ord.Rank(x) < hi; });
-      }
-    } else {
-      if (hi < n) {
-        first = std::partition_point(
-            first, last, [&](NodeId x) { return ord.Rank(x) >= hi; });
-      }
-      if (lo > 0) {
-        last = std::partition_point(
-            first, last, [&](NodeId x) { return ord.Rank(x) >= lo; });
-      }
+    if (sink == nullptr) return;
+    for (size_t x = 0; x < rank.size(); ++x) {
+      assignment[x] = node_of_rank[rank[x]];
     }
-    return {first, last};
+    sink->Emit(assignment);
   }
 
   void Step(size_t depth) {
-    if (depth == plan->steps.size()) {
+    if (depth == plan->size()) {
       EmitIfAllowed();
       return;
     }
-    const PlanStep& step = plan->steps[depth];
+    const PlanStep& step = (*plan)[depth];
     switch (step.kind) {
       case StepKind::kAnchored:
         BindAnchored(step, depth);
@@ -298,15 +324,20 @@ struct EvalState {
     }
   }
 
+  /// Binds `step.var` to rank r and recurses, if r is free and owned.
+  void TryBind(const PlanStep& step, size_t depth, uint32_t r) {
+    ++cost->candidates;
+    if (!Distinct(step, r) || !Spend(r)) return;
+    rank[step.var] = r;
+    Step(depth + 1);
+    Refund(r);
+  }
+
   void BindAnchored(const PlanStep& step, size_t depth) {
     uint32_t lo = 0;
     uint32_t hi = order->num_nodes();
-    for (const int u : step.after) {
-      lo = std::max(lo, order->Rank(assignment[u]) + 1);
-    }
-    for (const int u : step.before) {
-      hi = std::min(hi, order->Rank(assignment[u]));
-    }
+    for (const int u : step.after) lo = std::max(lo, rank[u] + 1);
+    for (const int u : step.before) hi = std::min(hi, rank[u]);
     if (colour != nullptr) {
       // The colours that still have quota span one rank range. Some colour
       // has quota left, since a variable is still unbound.
@@ -318,51 +349,71 @@ struct EvalState {
       hi = std::min(hi, (*colour_begin)[last + 1]);
     }
     if (lo >= hi) return;
-    const NodeId anchor_node = assignment[step.anchor_var];
-    const auto candidates =
-        Window(step,
-               step.anchor_is_smaller ? successors->Successors(anchor_node)
-                                      : predecessors->Successors(anchor_node),
-               lo, hi);
-    for (const NodeId node : candidates) {
-      ++cost->candidates;
-      if (!Distinct(node) || !Spend(node)) continue;
-      assignment[step.var] = node;
-      bound[step.var] = true;
-      if (ChecksHold(step)) Step(depth + 1);
-      bound[step.var] = false;
-      Refund(node);
+    std::span<const NodeId> candidates =
+        RankWindow(Neighbours(rank[step.anchor_var]), lo, hi);
+    if (!step.partners.empty() && !candidates.empty()) {
+      // Close every partner subgoal by intersection, shortest window first
+      // so each merge costs at most the smallest window, priced as the
+      // matcher prices its merges: one probe per element of the shorter
+      // input.
+      windows.assign(1, candidates);
+      for (const int u : step.partners) {
+        windows.push_back(RankWindow(Neighbours(rank[u]), lo, hi));
+      }
+      std::iter_swap(windows.begin(),
+                     std::min_element(windows.begin(), windows.end(),
+                                      [](auto a, auto b) {
+                                        return a.size() < b.size();
+                                      }));
+      NodeId* const buffers[2] = {
+          scratch.data() + 2 * depth * scratch_stride,
+          scratch.data() + (2 * depth + 1) * scratch_stride};
+      candidates = windows[0];
+      for (size_t i = 1; i < windows.size() && !candidates.empty(); ++i) {
+        cost->index_probes += std::min(candidates.size(), windows[i].size());
+        NodeId* const out = buffers[i % 2];
+        candidates = {out, IntersectInto(candidates, windows[i], out)};
+      }
+    }
+    // Walk away from the anchor, as its successor (ascending) or
+    // predecessor (descending) list would be read.
+    if (step.anchor_is_smaller) {
+      for (const NodeId r : candidates) TryBind(step, depth, r);
+    } else {
+      for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+        TryBind(step, depth, *it);
+      }
     }
   }
 
   void BindEdgeSeed(const PlanStep& step, size_t depth) {
     for (const Edge& e : graph->edges()) {
-      ++cost->candidates;
-      const Edge oriented = order->Orient(e);
-      if (!Distinct(oriented.first) || !Distinct(oriented.second)) continue;
-      if (!Spend(oriented.first)) continue;
-      if (!Spend(oriented.second)) {
-        Refund(oriented.first);
+      ++cost->edges_scanned;
+      const uint32_t ru = order->Rank(e.first);
+      const uint32_t rv = order->Rank(e.second);
+      const uint32_t first = std::min(ru, rv);
+      const uint32_t second = std::max(ru, rv);
+      if (!Distinct(step, first) || !Distinct(step, second)) continue;
+      if (!Spend(first)) continue;
+      if (!Spend(second)) {
+        Refund(first);
         continue;
       }
-      assignment[step.var] = oriented.first;
-      assignment[step.var2] = oriented.second;
-      bound[step.var] = bound[step.var2] = true;
-      if (AtomsHold(step) && ChecksHold(step)) Step(depth + 1);
-      bound[step.var] = bound[step.var2] = false;
-      Refund(oriented.first);
-      Refund(oriented.second);
+      rank[step.var] = first;
+      rank[step.var2] = second;
+      if (AtomsHold(step)) Step(depth + 1);
+      Refund(first);
+      Refund(second);
     }
   }
 
   void BindFree(const PlanStep& step, size_t depth) {
     for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      if (!Distinct(node) || !Spend(node)) continue;
-      assignment[step.var] = node;
-      bound[step.var] = true;
+      const uint32_t r = order->Rank(node);
+      if (!Distinct(step, r) || !Spend(r)) continue;
+      rank[step.var] = r;
       if (AtomsHold(step)) Step(depth + 1);
-      bound[step.var] = false;
-      Refund(node);
+      Refund(r);
     }
   }
 };
@@ -416,10 +467,24 @@ void Ownership::RequireOwned(std::span<const NodeId> assignment,
 }
 
 CqEvaluator::CqEvaluator(const Graph& graph, NodeOrder order)
-    : graph_(&graph),
-      order_(std::move(order)),
-      successors_(graph, order_),
-      predecessors_(graph, order_.Reversed()) {}
+    : graph_(&graph), order_(std::move(order)) {
+  // Sort-free build: appending each node's rank to its neighbours' rows in
+  // ascending rank order leaves every row ascending.
+  const NodeId n = graph.num_nodes();
+  node_of_rank_.resize(n);
+  for (NodeId u = 0; u < n; ++u) node_of_rank_[order_.Rank(u)] = u;
+  offsets_.assign(n + 1, 0);
+  for (NodeId r = 0; r < n; ++r) {
+    offsets_[r + 1] = offsets_[r] + graph.Degree(node_of_rank_[r]);
+  }
+  neighbours_.resize(offsets_[n]);
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.begin() + n);
+  for (NodeId r = 0; r < n; ++r) {
+    for (const NodeId w : graph.Neighbors(node_of_rank_[r])) {
+      neighbours_[cursor[order_.Rank(w)]++] = r;
+    }
+  }
+}
 
 uint64_t CqEvaluator::Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
                                CostCounter* cost,
@@ -430,10 +495,10 @@ uint64_t CqEvaluator::Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
 uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
                                   InstanceSink* sink, CostCounter* cost,
                                   const Ownership* ownership) const {
-  std::vector<uint32_t> colour_begin;
+  RankColours colours;
   int quota_total = 0;
   if (ownership != nullptr) {
-    colour_begin = ColourRanks(*ownership, order_);
+    colours = ColourRanks(*ownership, order_);
     quota_total = std::accumulate(ownership->quota.begin(),
                                   ownership->quota.end(), 0);
   }
@@ -446,40 +511,29 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
           ", not the CQ's " + std::to_string(cq.num_vars()) + " variables");
     }
     if (cq.subgoals().empty()) continue;
-    const JoinPlan plan = BuildPlan(cq);
+    const std::vector<PlanStep> plan = BuildPlan(cq);
     EvalState state;
     state.cq = &cq;
     state.graph = graph_;
     state.order = &order_;
-    state.successors = &successors_;
-    state.predecessors = &predecessors_;
+    state.offsets = offsets_.data();
+    state.neighbours = neighbours_.data();
+    state.node_of_rank = node_of_rank_.data();
     state.plan = &plan;
     state.sink = sink;
     state.cost = cost != nullptr ? cost : &dummy;
     if (ownership != nullptr) {
-      state.colour = ownership->colour.data();
+      state.colour = colours.colour_of_rank.data();
       state.quota = ownership->quota;
-      state.colour_begin = &colour_begin;
+      state.colour_begin = &colours.begin;
     }
+    state.rank.assign(cq.num_vars(), 0);
     state.assignment.assign(cq.num_vars(), 0);
-    state.bound.assign(cq.num_vars(), false);
-
-    for (const Edge& e : graph_->edges()) {
-      ++state.cost->edges_scanned;
-      const Edge oriented = order_.Orient(e);
-      if (!state.Spend(oriented.first)) continue;
-      if (!state.Spend(oriented.second)) {
-        state.Refund(oriented.first);
-        continue;
-      }
-      state.assignment[plan.seed_a] = oriented.first;
-      state.assignment[plan.seed_b] = oriented.second;
-      state.bound[plan.seed_a] = state.bound[plan.seed_b] = true;
-      state.Step(0);
-      state.bound[plan.seed_a] = state.bound[plan.seed_b] = false;
-      state.Refund(oriented.first);
-      state.Refund(oriented.second);
-    }
+    // An intersection result is at most its shorter input, itself at most
+    // the graph's max degree.
+    state.scratch_stride = graph_->MaxDegree() + kIntersectSlack;
+    state.scratch.resize(2 * plan.size() * state.scratch_stride);
+    state.Step(0);
     total += state.found;
   }
   return total;

@@ -56,25 +56,35 @@ struct Ownership {
 /// is the multiway-join-plus-selection of Section 3 run at a reducer — or,
 /// standalone, a complete serial algorithm for enumerating instances.
 ///
-/// The join is a backtracking expansion along the subgoals: the first
-/// subgoal is seeded from the full (oriented) edge list, each subsequent
-/// variable is drawn from the successor/predecessor lists of an
-/// already-bound variable, and remaining subgoals become O(1) index probes.
+/// The join runs in rank space. The evaluator keeps one adjacency indexed
+/// by node rank, each row listing the neighbours' ranks ascending, so a
+/// node's predecessors are the prefix of its row below its own rank and its
+/// successors the suffix above it. The join is a backtracking expansion:
+/// the plan seeds on the subgoal whose endpoints have the largest summed
+/// pattern degree and then binds, at each step, the variable with the most
+/// bound pattern neighbours, so cycles close as early as the pattern
+/// allows. A step draws its variable from the row of one bound neighbour
+/// (the anchor) and closes the subgoals to every other bound neighbour by
+/// intersecting their rows (graph/intersect.h), as the serial matcher
+/// does; no subgoal is tested by a per-candidate edge probe. The
+/// CostCounter prices each merge at one probe per element of the shorter
+/// input and one candidate per survivor.
 ///
 /// The selection is pushed into the join as far as it is sound. Each
-/// comparison atom X_a < X_b the condition entails (ConjunctiveQuery::
-/// Atoms().less) is a necessary condition, so it prunes at the step that
-/// binds its later variable. Successor lists ascend and predecessor lists
-/// descend by rank, so at an anchored step the atoms, the orientation of
-/// the subgoals checked there, and (under Ownership) the rank range of the
-/// colours that still have quota cut the candidate list to one contiguous
-/// window found by binary search; the CostCounter prices the candidates
-/// inside the window, not the O(log d) search. The exact order-set test
-/// (ConjunctiveQuery::OrderAllowed) stays the final selection, as footnote
-/// 5 of the paper prescribes, so OR-merged conditions and disequalities are
-/// still decided exactly. Pruning only removes branches that could not
-/// emit: the surviving assignments arrive in the same order as an
-/// unpruned join would produce them.
+/// comparison X_a < X_b the condition entails (all of them, as listed by
+/// ConjunctiveQuery::Atoms().entailed) is a necessary condition, so it
+/// prunes at the step that binds its later variable. At an anchored step these
+/// comparisons, the orientation of every subgoal closed there, and (under
+/// Ownership) the rank range of the colours that still have quota cut each
+/// row to one rank window [lo, hi) before the intersection (RankWindow,
+/// graph/rank_window.h). The exact order-set test (ConjunctiveQuery::
+/// OrderAllowed) stays the final selection, as footnote 5 of the paper
+/// prescribes, so OR-merged conditions and disequalities are still decided
+/// exactly. Pruning only removes branches that could not emit, and a step
+/// walks its survivors away from the anchor (ascending above it,
+/// descending below it), so for a fixed plan the surviving assignments
+/// arrive in the order an unpruned join over the anchor's list would
+/// produce them.
 class CqEvaluator {
  public:
   /// `graph` must outlive the evaluator; the order is copied.
@@ -100,8 +110,11 @@ class CqEvaluator {
  private:
   const Graph* graph_;
   NodeOrder order_;
-  OrientedAdjacency successors_;
-  OrientedAdjacency predecessors_;
+  // Rank-space adjacency: the neighbours of the node ranked r are the
+  // ranks neighbours_[offsets_[r] .. offsets_[r + 1]), ascending.
+  std::vector<size_t> offsets_;
+  std::vector<NodeId> neighbours_;
+  std::vector<NodeId> node_of_rank_;
 };
 
 }  // namespace smr

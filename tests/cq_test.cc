@@ -54,6 +54,10 @@ TEST(ConjunctiveQuery, AtomsOfTotalOrder) {
   // Transitive reduction of a total order: the chain W<X, X<Y, Y<Z.
   const std::vector<std::pair<int, int>> expected = {{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(atoms.less, expected);
+  // Its transitive closure: every pair, as the evaluator prunes with it.
+  const std::vector<std::pair<int, int>> closure = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}};
+  EXPECT_EQ(atoms.entailed, closure);
   EXPECT_TRUE(atoms.unordered.empty());
   EXPECT_TRUE(cq.ConditionIsPartialOrderExact());
 }
@@ -396,6 +400,65 @@ TEST(CqEvaluatorOwnership, BucketInstanceStreamIsPinned) {
           .WithSink(&sink));
   EXPECT_EQ(sink.assignments().size(), 3422u);
   EXPECT_EQ(Fnv1a(sink.assignments()), 14362290505890692992ull);
+}
+
+TEST(CqEvaluatorOwnership, BucketStreamsOfFixedPlansArePinned) {
+  // Closing cycles by intersection must not change the instances a
+  // bucket-oriented run emits, or their order, for patterns whose join
+  // plan the degree-first planner leaves alone: the clique and the cycle
+  // (degree-regular), Path(3), and two disjoint edges (an edge-seed step).
+  // Pinned before the rank-space join existed.
+  const Graph graph = PreferentialAttachment(300, 4, 5);
+  const struct {
+    SampleGraph pattern;
+    size_t instances;
+    uint64_t fnv1a;
+  } pins[] = {
+      {SampleGraph::Clique(4), 57, 8967663702599189238ull},
+      {SampleGraph::Cycle(5), 32779, 3328644581178042628ull},
+      {SampleGraph::Path(3), 16831, 9464496185417745210ull},
+      {SampleGraph(4, {{0, 1}, {2, 3}}), 690624, 13585110873108436489ull}};
+  for (const auto& pin : pins) {
+    CollectingSink sink;
+    StrategyRegistry::Global().Run(
+        EnumerationQuery::Undirected(pin.pattern, graph)
+            .WithStrategy("bucket:4")
+            .WithSeed(3)
+            .WithSink(&sink));
+    EXPECT_EQ(sink.assignments().size(), pin.instances)
+        << pin.pattern.ToString();
+    EXPECT_EQ(Fnv1a(sink.assignments()), pin.fnv1a) << pin.pattern.ToString();
+  }
+}
+
+TEST(CqEvaluatorOwnership, TriangleFirstPlansEmitEachInstanceOnce) {
+  // The lollipop and the diamond seed on their highest-degree edge and
+  // close the triangle next, so their stream order follows that plan and
+  // is not pinned. The instance multiset is: exactly the serial matcher's,
+  // with no instance twice.
+  const SampleGraph patterns[] = {
+      SampleGraph::Lollipop(),
+      SampleGraph(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}})};
+  const Graph graphs[] = {ErdosRenyi(60, 300, 4),
+                          PreferentialAttachment(80, 4, 6)};
+  for (const SampleGraph& pattern : patterns) {
+    for (const Graph& graph : graphs) {
+      const auto truth = GroundTruthKeys(pattern, graph);
+      ASSERT_GT(truth.size(), 0u) << pattern.ToString();
+      for (const int b : {2, 3, 5}) {
+        CollectingSink sink;
+        StrategyRegistry::Global().Run(
+            EnumerationQuery::Undirected(pattern, graph)
+                .WithStrategy("bucket:" + std::to_string(b))
+                .WithSeed(b)
+                .WithSink(&sink));
+        const auto keys = KeysOf(sink, pattern);
+        EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+            << pattern.ToString() << " b=" << b << " emitted a duplicate";
+        EXPECT_EQ(keys, truth) << pattern.ToString() << " b=" << b;
+      }
+    }
+  }
 }
 
 TEST(CqEvaluatorOwnership, LabeledInstanceStreamIsPinned) {

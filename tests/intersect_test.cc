@@ -1,11 +1,14 @@
 // Differential tests of the vectorized sorted-set primitives: every
 // per-level variant (scalar / SSE4.2 / AVX2 x count / into / contains) must
 // agree exactly with std::set_intersection / std::binary_search on the same
-// inputs, across adversarial size and overlap profiles. The SIMD paths being
-// exact drop-ins for the scalar one is what keeps enumeration output
+// inputs, across adversarial size and overlap profiles. The SIMD paths
+// being exact drop-ins for the scalar one is what keeps enumeration output
 // byte-identical across ISAs, so these tests are the load-bearing wall.
+// RankWindow, which cuts a rank-sorted row before such an intersection, is
+// checked against a linear filter.
 
 #include "graph/intersect.h"
+#include "graph/rank_window.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -191,6 +194,71 @@ TEST(Intersect, AdversarialGallopPatterns) {
   // overshoot past the boundary.
   std::vector<NodeId> tail(big.end() - 9, big.end());
   CheckPair(big, tail);
+}
+
+/// The elements of `ranks` in [lo, hi), by a linear filter.
+std::vector<NodeId> FilterWindow(const std::vector<NodeId>& ranks, NodeId lo,
+                                 NodeId hi) {
+  std::vector<NodeId> out;
+  for (const NodeId r : ranks) {
+    if (r >= lo && r < hi) out.push_back(r);
+  }
+  return out;
+}
+
+TEST(RankWindow, MatchesALinearFilter) {
+  // Every cut of short lists, including empty and inverted ranges and
+  // bounds outside the list, so each early exit and both searches run.
+  std::mt19937 rng(23);
+  for (size_t size = 0; size < 40; ++size) {
+    const std::vector<NodeId> ranks = RandomSorted(&rng, size, 60);
+    for (NodeId lo = 0; lo <= 62; lo += 3) {
+      for (NodeId hi = 0; hi <= 62; hi += 2) {
+        const auto window = RankWindow(ranks, lo, hi);
+        const std::vector<NodeId> expected = FilterWindow(ranks, lo, hi);
+        ASSERT_EQ(std::vector<NodeId>(window.begin(), window.end()),
+                  expected)
+            << "size=" << ranks.size() << " [" << lo << ", " << hi << ")";
+        if (!window.empty()) {
+          // A subspan of the row itself, not a copy.
+          EXPECT_GE(window.data(), ranks.data());
+          EXPECT_LE(window.data() + window.size(),
+                    ranks.data() + ranks.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(RankWindow, IntersectingTwoWindowsMatchesTheFilteredReference) {
+  // How rank-space reducers close a cycle: cut two bound nodes' rows to
+  // one window and intersect them into a buffer sized by the kIntersectSlack
+  // contract. Every kernel variant must return the filtered intersection.
+  std::mt19937 rng(29);
+  std::uniform_int_distribution<NodeId> bound(0, 2100);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<NodeId> a =
+        RandomSorted(&rng, 1 + rng() % 400, 2000);
+    const std::vector<NodeId> b =
+        RandomSorted(&rng, 1 + rng() % 400, 2000);
+    NodeId lo = bound(rng);
+    NodeId hi = bound(rng);
+    if (lo > hi) std::swap(lo, hi);
+    const auto wa = RankWindow(a, lo, hi);
+    const auto wb = RankWindow(b, lo, hi);
+    const std::vector<NodeId> expected =
+        Reference(FilterWindow(a, lo, hi), FilterWindow(b, lo, hi));
+    std::vector<NodeId> out(std::min(wa.size(), wb.size()) + kIntersectSlack);
+    for (const Variant& v : SupportedVariants()) {
+      const size_t n = v.into(wa, wb, out.data());
+      ASSERT_EQ(n, expected.size()) << v.name;
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+          << v.name;
+    }
+    const size_t n = IntersectInto(wa, wb, out.data());
+    ASSERT_EQ(n, expected.size());
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()));
+  }
 }
 
 TEST(Intersect, DispatcherReportsSupportedLevel) {

@@ -273,6 +273,82 @@ TEST(StrategyRegistry, RejectsFamilyMismatches) {
                std::invalid_argument);
 }
 
+/// Runs `query` and returns the std::invalid_argument message, or "" when
+/// the run does not throw.
+std::string RejectionOf(const EnumerationQuery& query) {
+  try {
+    StrategyRegistry::Global().Run(query);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StrategyRegistry, RejectsIsolatedPatternVariablesOffSerial) {
+  // Reducers see only the edges shipped to them, so a data node no edge
+  // reaches is never bound. These patterns each have a variable in no
+  // edge; run unchecked on this graph, bucket:3 returns 0, 1529 and 5742
+  // and auto:64 0, 60 and 222, where serial finds 435, 1680 and 5994.
+  const Graph graph = ErdosRenyi(30, 60, 1);
+  const StrategyRegistry& registry = StrategyRegistry::Global();
+  const std::pair<SampleGraph, uint64_t> cases[] = {
+      {SampleGraph(2, {}), 435},
+      {SampleGraph(3, {{0, 1}}), 1680},
+      {SampleGraph(4, {{0, 1}, {1, 2}}), 5994}};
+  for (const auto& [pattern, serial] : cases) {
+    const auto query = [&] {
+      return EnumerationQuery::Undirected(pattern, graph);
+    };
+    EXPECT_EQ(registry.Run(query().WithStrategy("serial")).instances, serial)
+        << pattern.ToString();
+    for (const char* spec : {"bucket:3", "auto:64", "variable-auto:64"}) {
+      EXPECT_NE(RejectionOf(query().WithStrategy(spec)).find("no pattern edge"),
+                std::string::npos)
+          << spec << " on " << pattern.ToString();
+    }
+    for (const Strategy* strategy : registry.Strategies()) {
+      if (strategy->name() == "serial") continue;
+      EXPECT_THROW(registry.Run(query().WithStrategy(strategy->name())),
+                   std::invalid_argument)
+          << strategy->name() << " on " << pattern.ToString();
+    }
+  }
+
+  // Two disjoint edges have no isolated variable: every strategy agrees.
+  const SampleGraph two_edges(4, {{0, 1}, {2, 3}});
+  for (const char* spec : {"serial", "bucket:3", "auto:64"}) {
+    EXPECT_EQ(registry
+                  .Run(EnumerationQuery::Undirected(two_edges, graph)
+                           .WithStrategy(spec))
+                  .instances,
+              1548u)
+        << spec;
+  }
+
+  // The labeled and directed families: one edge plus an isolated variable.
+  std::vector<LabeledEdge> labeled_edges;
+  for (const auto& [u, v] : graph.edges()) labeled_edges.push_back({u, v, 0});
+  const LabeledGraph labeled_graph(graph.num_nodes(), labeled_edges);
+  const LabeledSampleGraph labeled_pattern(3, {{0, 1, 0}});
+  const auto labeled = [&] {
+    return EnumerationQuery::Labeled(labeled_pattern, labeled_graph);
+  };
+  EXPECT_EQ(registry.Run(labeled().WithStrategy("serial")).instances, 1680u);
+  EXPECT_NE(RejectionOf(labeled().WithStrategy("labeled:3"))
+                .find("no pattern edge"),
+            std::string::npos);
+
+  const DirectedGraph directed_graph = TestDirectedGraph(graph);
+  const DirectedSampleGraph directed_pattern(3, {{0, 1}});
+  const auto directed = [&] {
+    return EnumerationQuery::Directed(directed_pattern, directed_graph);
+  };
+  EXPECT_EQ(registry.Run(directed().WithStrategy("serial")).instances, 1680u);
+  EXPECT_NE(RejectionOf(directed().WithStrategy("directed:3"))
+                .find("no pattern edge"),
+            std::string::npos);
+}
+
 TEST(StrategyRegistry, RejectsMalformedQueries) {
   EnumerationQuery empty;
   empty.spec.name = "serial";
