@@ -247,11 +247,9 @@ struct EvalState {
   std::vector<int> quota;  // what is left of each colour's quota
   const std::vector<uint32_t>* colour_begin = nullptr;
   std::vector<uint32_t> rank;  // by variable
-  /// Per-depth intersection buffers: two per step (a fold over several
-  /// partners ping-pongs between them), each with room for the longest
-  /// neighbour list plus kIntersectSlack.
-  std::vector<NodeId> scratch;
-  size_t scratch_stride = 0;
+  /// Intersection buffers by depth: entries 2 * depth and 2 * depth + 1
+  /// belong to the step at `depth` (see EvaluateAll for their sizing).
+  std::vector<NodeId>* buffers = nullptr;
   std::vector<std::span<const NodeId>> windows;  // reused by every step
   std::vector<int> scratch_order;
   std::vector<NodeId> assignment;  // node ids, filled at emission
@@ -365,13 +363,10 @@ struct EvalState {
                                       [](auto a, auto b) {
                                         return a.size() < b.size();
                                       }));
-      NodeId* const buffers[2] = {
-          scratch.data() + 2 * depth * scratch_stride,
-          scratch.data() + (2 * depth + 1) * scratch_stride};
       candidates = windows[0];
       for (size_t i = 1; i < windows.size() && !candidates.empty(); ++i) {
         cost->index_probes += std::min(candidates.size(), windows[i].size());
-        NodeId* const out = buffers[i % 2];
+        NodeId* const out = buffers[2 * depth + (i - 1) % 2].data();
         candidates = {out, IntersectInto(candidates, windows[i], out)};
       }
     }
@@ -503,6 +498,14 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
                                   ownership->quota.end(), 0);
   }
   CostCounter dummy;
+  // Intersection buffers, shared by every CQ of this call. Only an anchored
+  // step with partners intersects: one partner writes one buffer, and a
+  // fold over several ping-pongs between two. Each buffer is its own
+  // allocation, so an overrun of any of them is a heap overflow a
+  // sanitizer sees. An intersection result is at most its shorter input,
+  // itself at most the graph's max degree, plus the kernels' slack.
+  std::vector<std::vector<NodeId>> buffers;
+  const size_t buffer_size = graph_->MaxDegree() + kIntersectSlack;
   uint64_t total = 0;
   for (const ConjunctiveQuery& cq : cqs) {
     if (ownership != nullptr && quota_total != cq.num_vars()) {
@@ -529,10 +532,15 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
     }
     state.rank.assign(cq.num_vars(), 0);
     state.assignment.assign(cq.num_vars(), 0);
-    // An intersection result is at most its shorter input, itself at most
-    // the graph's max degree.
-    state.scratch_stride = graph_->MaxDegree() + kIntersectSlack;
-    state.scratch.resize(2 * plan.size() * state.scratch_stride);
+    for (size_t depth = 0; depth < plan.size(); ++depth) {
+      const size_t needed = std::min<size_t>(plan[depth].partners.size(), 2);
+      if (needed == 0) continue;
+      if (buffers.size() < 2 * depth + 2) buffers.resize(2 * depth + 2);
+      for (size_t j = 0; j < needed; ++j) {
+        buffers[2 * depth + j].resize(buffer_size);
+      }
+    }
+    state.buffers = buffers.data();
     state.Step(0);
     total += state.found;
   }

@@ -10,8 +10,8 @@ namespace smr {
 
 /// The part of `ranks` — an ascending list of node ranks, as a rank-space
 /// adjacency row stores them — that lies in [lo, hi). The part is
-/// contiguous, so it is found by at most two binary searches and returned
-/// as a subspan; an empty span when lo >= hi.
+/// contiguous, so two binary searches find it, the second starting where
+/// the first ended; an empty span when lo >= hi.
 ///
 /// This is how the rank-space reducers cut a row to what a step may bind:
 /// the ordered-bucket triangle reducer cuts to one bucket's ranks, and
@@ -21,24 +21,9 @@ namespace smr {
 /// the shorter window plus kIntersectSlack.
 inline std::span<const NodeId> RankWindow(std::span<const NodeId> ranks,
                                           NodeId lo, NodeId hi) {
-  if (lo >= hi || ranks.empty() || ranks.back() < lo || ranks.front() >= hi) {
-    return {};
-  }
-  // Branchless lower bounds: rows are short and the windows data-dependent,
-  // so a predictable loop of conditional moves beats std::lower_bound.
-  auto lower_bound = [&ranks](NodeId v) {
-    const NodeId* base = ranks.data();
-    size_t n = ranks.size();
-    while (n > 1) {
-      const size_t half = n / 2;
-      base = base[half] < v ? base + half : base;
-      n -= half;
-    }
-    return static_cast<size_t>(base - ranks.data()) + (*base < v ? 1 : 0);
-  };
-  const size_t first = ranks.front() >= lo ? 0 : lower_bound(lo);
-  const size_t last = ranks.back() < hi ? ranks.size() : lower_bound(hi);
-  return ranks.subspan(first, last - first);
+  const auto first = std::lower_bound(ranks.begin(), ranks.end(), lo);
+  const auto last = std::lower_bound(first, ranks.end(), hi);
+  return {first, last};
 }
 
 }  // namespace smr
