@@ -241,8 +241,9 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
   };
 
   JobDriver driver(policy);
-  const RoundSpec<Edge, Edge> round{"ordered-buckets", map_fn, reduce_fn,
-                                    key_space, {}};
+  const RoundSpec<Edge, Edge> round{
+      "ordered-buckets", map_fn, reduce_fn, key_space, {},
+      /*emissions_per_input=*/static_cast<double>(buckets)};  // b per edge
   const MapReduceMetrics metrics = driver.RunRound(round, graph.edges(), sink);
   if (job != nullptr) *job = driver.job();
   return metrics;

@@ -56,6 +56,11 @@ uint64_t RequireCount(std::string_view text, const char* what) {
   return static_cast<uint64_t>(*value);
 }
 
+/// The injector whose spill failures are armed on this thread, if any:
+/// each map link drains on its own coordinator thread, so arming one
+/// link's drain fails no other link's appends.
+thread_local const FaultInjector* armed_spill_injector = nullptr;
+
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -215,9 +220,13 @@ SpillBackend* FaultInjector::WrapSpillBackend(SpillBackend* inner) {
   return spill_wrapper_.get();
 }
 
-void FaultInjector::ArmSpillFailure() { spill_failure_armed_ = true; }
+void FaultInjector::ArmSpillFailure() { armed_spill_injector = this; }
 
-void FaultInjector::DisarmSpillFailure() { spill_failure_armed_ = false; }
+void FaultInjector::DisarmSpillFailure() { armed_spill_injector = nullptr; }
+
+bool FaultInjector::spill_failure_armed() const {
+  return armed_spill_injector == this;
+}
 
 uint64_t FaultInjector::fires(FaultKind kind) const {
   return kind_fires_[static_cast<int>(kind)];

@@ -1,6 +1,7 @@
 #ifndef SMR_MAPREDUCE_FAULT_INJECTION_H_
 #define SMR_MAPREDUCE_FAULT_INJECTION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -25,8 +26,11 @@ namespace smr {
 ///
 /// Installation: ExecutionPolicy::fault_injector (test hook), or the
 /// SMR_FAULT_PLAN environment variable for CI smoke runs (see
-/// ParseFaultPlan for the grammar). The injector is consulted only by the
-/// process backend's single-threaded coordinator; it is not thread-safe.
+/// ParseFaultPlan for the grammar). What stays single-threaded is the
+/// spawns: ArmSpawn runs only on the coordinator thread, between passes,
+/// while no link is being drained, and is not thread-safe. Links drain
+/// concurrently, so spill failures arm per draining thread and the fire
+/// counters are atomic.
 
 /// Which side of the round a fault targets. Registered names are the
 /// SMR_FAULT_PLAN grammar tokens (see util/enum_registry.h).
@@ -130,12 +134,13 @@ class FaultInjector {
   /// injector and stays valid for its lifetime.
   SpillBackend* WrapSpillBackend(SpillBackend* inner);
 
-  /// Arms/disarms spill-append failures around one link's drain (the
-  /// coordinator holds this while draining a worker whose ArmSpawn
-  /// returned kFailSpillAppend).
+  /// Arms/disarms spill-append failures on the calling thread only, around
+  /// one link's drain (the coordinator thread draining a worker whose
+  /// ArmSpawn returned kFailSpillAppend holds this), so a concurrent drain
+  /// of another link appends cleanly.
   void ArmSpillFailure();
   void DisarmSpillFailure();
-  bool spill_failure_armed() const { return spill_failure_armed_; }
+  bool spill_failure_armed() const;
 
   /// Total faults armed/fired so far, overall and per kind — the counters
   /// tests check retry metrics against.
@@ -150,9 +155,8 @@ class FaultInjector {
   FaultPlan plan_;
   std::vector<unsigned> remaining_;  // per-spec `times` budget left
   std::unique_ptr<FaultySpillBackend> spill_wrapper_;
-  bool spill_failure_armed_ = false;
-  uint64_t fires_ = 0;
-  uint64_t kind_fires_[EnumTraits<FaultKind>::kCount] = {};
+  std::atomic<uint64_t> fires_{0};
+  std::atomic<uint64_t> kind_fires_[EnumTraits<FaultKind>::kCount] = {};
 };
 
 /// RAII arm/disarm of spill-append failures around one drain; no-op when

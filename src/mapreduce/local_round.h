@@ -26,6 +26,34 @@ inline uint64_t ClampCombined(bool combining, uint64_t key_space, uint64_t n) {
   return (combining && key_space > 0) ? std::min(n, key_space) : n;
 }
 
+/// One map worker's share of the round's expected emissions, clamped
+/// under a combiner (it also pre-sizes the combiner's slot index).
+template <typename Input, typename Value>
+uint64_t ExpectedPerWorker(const RoundSpec<Input, Value>& spec,
+                           const ExecutionPolicy& policy,
+                           uint64_t expected_pairs, unsigned workers) {
+  return ClampCombined(policy.combine && spec.combiner, spec.key_space,
+                       expected_pairs / workers);
+}
+
+/// An unbudgeted bucket store's per-bucket reservation (0 = no hint): a
+/// worker's share spread evenly over the partitions, plus half again. The
+/// dense reducer ranks the strategies declare make the even split a fair
+/// prior, but key ranges are not equally loaded (orderedbucket:12 on
+/// ER(20000, 200000) fills its largest of 16 partitions to 1.25x the even
+/// share). A bucket that outgrows its reservation copies into twice it,
+/// while reserved pages never written never become resident.
+template <typename Input, typename Value>
+size_t BucketReserve(const RoundSpec<Input, Value>& spec,
+                     const ExecutionPolicy& policy, uint64_t expected_pairs,
+                     unsigned workers) {
+  if (expected_pairs == 0) return 0;
+  const uint64_t even =
+      ExpectedPerWorker(spec, policy, expected_pairs, workers) /
+      policy.EffectivePartitions();
+  return even + even / 2 + 1;
+}
+
 /// Resident bucket store: worker t's emissions for partition p sit in
 /// scatter[t][p], in the worker's emission order. A partition is grouped
 /// by GroupByKey (counting scatter on dense key ranges, stable_sort of the
@@ -89,14 +117,17 @@ struct ResidentBuckets {
 /// its runs plus resident tails in worker order — exactly the stable sort
 /// of the in-memory concatenation, so nothing downstream can tell the
 /// stores apart (the contract tests/spill_shuffle_fuzz_test.cc pins).
+/// Unbudgeted (the process backend's store), OpenMap reserves
+/// `per_bucket` pairs per bucket; under a budget it never pre-allocates.
 template <typename Value>
 struct SpilledBuckets {
   using Pair = std::pair<uint64_t, Value>;
   struct Scratch {};
 
   SpilledBuckets(const ExecutionPolicy& policy, unsigned workers,
-                 unsigned partitions)
-      : pool(policy.shuffle_budget_bytes, policy.spill_backend) {
+                 unsigned partitions, size_t per_bucket = 0)
+      : pool(policy.shuffle_budget_bytes, policy.spill_backend),
+        bucket_reserve(pool.bounded() ? 0 : per_bucket) {
     channels.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) {
       channels.push_back(
@@ -104,8 +135,13 @@ struct SpilledBuckets {
     }
   }
 
+  /// Called on map worker t's own thread, like ResidentBuckets::OpenMap.
   std::vector<std::vector<Pair>>* OpenMap(size_t t) {
-    return channels[t]->buckets();
+    std::vector<std::vector<Pair>>* buckets = channels[t]->buckets();
+    if (bucket_reserve > 0) {
+      for (auto& bucket : *buckets) bucket.reserve(bucket_reserve);
+    }
+    return buckets;
   }
   SpillChannel<Value>* channel(size_t t) { return channels[t].get(); }
   void FinishMap(size_t t) { channels[t]->Finish(); }
@@ -149,6 +185,7 @@ struct SpilledBuckets {
   // resident accounting into it), and the channels outlive the reduce
   // phase (they own the spill files and resident tails it streams from).
   PagePool pool;
+  size_t bucket_reserve;
   std::vector<std::unique_ptr<SpillChannel<Value>>> channels;
 };
 
@@ -291,17 +328,15 @@ MapReduceMetrics RunLocalRound(const RoundSpec<Input, Value>& spec,
                                             policy, 0, &store);
     }
   }
-  // Spread the expected volume evenly over workers and partitions — the
-  // dense reducer ranks the strategies declare make the even split a good
-  // prior.
-  const size_t per_worker = engine_internal::ClampCombined(
-      policy.combine && spec.combiner, spec.key_space,
-      expected_pairs / map_threads);
   engine_internal::ResidentBuckets<Value> store(
       map_threads, partitions,
-      expected_pairs == 0 ? 0 : per_worker / partitions + 1);
-  return engine_internal::RunStoreRound(spec, inputs, sink, records, policy,
-                                        per_worker, &store);
+      engine_internal::BucketReserve(spec, policy, expected_pairs,
+                                     map_threads));
+  return engine_internal::RunStoreRound(
+      spec, inputs, sink, records, policy,
+      engine_internal::ExpectedPerWorker(spec, policy, expected_pairs,
+                                         map_threads),
+      &store);
 }
 
 }  // namespace smr

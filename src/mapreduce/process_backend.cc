@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -388,47 +389,54 @@ std::string WorkerCrew::Who(size_t index) const {
          std::to_string(index);
 }
 
-void WorkerCrew::Run(const RetryPolicy& retry, FaultCounters* counters,
+void WorkerCrew::Run(const ExecutionPolicy& policy, ShuffleStats* stats,
                      const Tasks& tasks) {
-  const unsigned max_attempts = std::max(1u, retry.max_attempts);
+  const unsigned max_attempts = std::max(1u, policy.retry.max_attempts);
   std::vector<unsigned> attempts(workers_.size(), 0);
-  std::vector<char> started(workers_.size(), 0);
-  const auto fail = [&](size_t slot, const Fault& fault) {
-    KillAndReap(slot);  // no-op when the failing path already reaped
-    started[slot] = 0;
-    counters->discarded += tasks.discard(slot);
-    if (fault.kind == WorkerErrorKind::kDeadline) ++counters->deadline_kills;
-    if (attempts[slot] >= max_attempts) {
-      throw WorkerError(fault.kind, WorkerRoleName(role_),
-                        static_cast<unsigned>(slot), attempts[slot],
-                        fault.detail);
-    }
-    ++counters->retries;
-  };
-  const auto start = [&](size_t slot) {
-    ++attempts[slot];
-    try {
-      tasks.start(slot);
-      started[slot] = 1;
-    } catch (const Fault& fault) {
-      fail(slot, fault);
-    }
-  };
-  for (size_t slot = 0; slot < workers_.size(); ++slot) start(slot);
-  for (size_t slot = 0; slot < workers_.size(); ++slot) {
-    while (true) {
-      if (!started[slot]) {
-        Backoff(retry, attempts[slot]);
-        start(slot);
-        continue;
-      }
+  std::vector<std::optional<Fault>> faults(workers_.size());
+  std::vector<size_t> pending(workers_.size());
+  std::iota(pending.begin(), pending.end(), size_t{0});
+  while (!pending.empty()) {
+    // Forks, and the injector's ArmSpawn, run only here, while no other
+    // coordinator thread is busy: a fork while a pool thread still starts
+    // up can copy a held runtime lock into the child, which then hangs.
+    if (policy.pool != nullptr) policy.pool->WaitUntilParked();
+    std::vector<size_t> started;
+    for (const size_t slot : pending) {
+      Backoff(policy.retry, attempts[slot]);
+      ++attempts[slot];
       try {
-        tasks.collect(slot);
-        break;
+        tasks.start(slot);
+        started.push_back(slot);
       } catch (const Fault& fault) {
-        fail(slot, fault);
+        faults[slot] = fault;
       }
     }
+    if (!started.empty()) {
+      engine_internal::RunWorkers(policy, started.size(), [&](size_t i) {
+        try {
+          tasks.collect(started[i]);
+        } catch (const Fault& fault) {
+          faults[started[i]] = fault;
+        }
+      }, stats);
+    }
+    std::vector<size_t> failed;
+    for (const size_t slot : pending) {
+      if (!faults[slot]) continue;
+      const Fault fault = *std::exchange(faults[slot], std::nullopt);
+      KillAndReap(slot);  // no-op when the failing path already reaped
+      stats->frames_discarded += tasks.discard(slot);
+      if (fault.kind == WorkerErrorKind::kDeadline) ++stats->deadline_kills;
+      if (attempts[slot] >= max_attempts) {
+        throw WorkerError(fault.kind, WorkerRoleName(role_),
+                          static_cast<unsigned>(slot), attempts[slot],
+                          fault.detail);
+      }
+      ++stats->worker_retries;
+      failed.push_back(slot);
+    }
+    pending = std::move(failed);
   }
 }
 

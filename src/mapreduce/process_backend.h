@@ -37,13 +37,6 @@ struct Fault {
 /// Links carry pair frames in writes, and are read, in ~256 KiB batches.
 inline constexpr size_t kBatchBytes = 256 * 1024;
 
-/// The round's fault bookkeeping (ShuffleStats), kept across a fallback.
-struct FaultCounters {
-  uint64_t retries = 0;
-  uint64_t discarded = 0;
-  uint64_t deadline_kills = 0;
-};
-
 /// The round's forked workers of one role, in fixed slots a failed worker
 /// is respawned into, and the one retry loop both roles run. Link waits
 /// honor the progress deadline `timeout_ms` (< 0 blocks); frames decode
@@ -52,8 +45,8 @@ struct FaultCounters {
 /// kills and reaps every live worker: a throw anywhere leaks no children.
 class WorkerCrew {
  public:
-  /// One slot's hooks for Run: `start` forks the worker and ships its
-  /// input, `collect` reads its output (both throw Fault), `discard` drops
+  /// One slot's hooks for Run: `start` forks the worker, `collect` sends
+  /// it any input and reads its output (both throw Fault), `discard` drops
   /// a failed attempt's parent-side state and returns its frame count.
   struct Tasks {
     std::function<void(size_t)> start;
@@ -68,10 +61,13 @@ class WorkerCrew {
   WorkerCrew(const WorkerCrew&) = delete;
   WorkerCrew& operator=(const WorkerCrew&) = delete;
 
-  /// Starts every slot, then collects them in slot order. A failed slot is
-  /// killed, discarded, counted, backed off, and restarted; one that
-  /// exhausts retry.max_attempts throws WorkerError.
-  void Run(const RetryPolicy& retry, FaultCounters* counters,
+  /// Runs in passes: this thread starts every pending slot, then all of
+  /// them collect at once on the policy's pool, each touching only its own
+  /// slot. After the join, failed slots are killed, discarded, counted and
+  /// backed off in slot order, then restarted in the next pass; the lowest
+  /// one to exhaust retry.max_attempts throws WorkerError. Retries,
+  /// discarded frames, deadline kills and pool use add up in *stats.
+  void Run(const ExecutionPolicy& policy, ShuffleStats* stats,
            const Tasks& tasks);
 
   /// Arms the attempt with `injector` (may be null) and forks slot
@@ -151,15 +147,17 @@ void RunReduceChild(
 /// partition group [b[r], b[r+1]) of b = SliceBoundaries(partitions, R),
 /// sent as the store's per-partition merge. Groups are ascending disjoint
 /// key ranges, so replaying output in worker order reproduces the local
-/// round exactly (tests/process_backend_test.cc).
+/// round exactly (tests/process_backend_test.cc). Both crews run
+/// WorkerCrew::Run: every link is drained or fed on its own coordinator
+/// thread, all at once, and forks happen only between those passes.
 ///
-/// Faults (tests/fault_tolerance_test.cc): both crews run WorkerCrew::Run
-/// under policy.retry. A failed attempt is killed and its parent-side
-/// effects (channel, buffered output, wire bytes) discarded; the slot
-/// re-forks on the same slice or group, so recovery is byte-identical. An
-/// exhausted slot throws WorkerError, or under kFallbackThread the round
-/// reruns locally — safe, as output is replayed only after every worker
-/// succeeded. Wire bytes count successful attempts only.
+/// Faults (tests/fault_tolerance_test.cc), under policy.retry: a failed
+/// attempt is killed and its parent-side effects (channel, buffered
+/// output, wire bytes) discarded; the slot re-forks on the same slice or
+/// group, so recovery is byte-identical. An exhausted slot throws
+/// WorkerError, or under kFallbackThread the round reruns locally — safe,
+/// as output is replayed only after every worker succeeded. Wire bytes
+/// count successful attempts only.
 ///
 /// Reducer contract: only what reducers emit through the ReduceContext
 /// reaches the parent (a shared-slot write stays in the child), and side
@@ -181,33 +179,34 @@ class ProcessShuffleBackend {
                             InstanceSink* records,
                             const ExecutionPolicy& policy,
                             uint64_t expected_pairs) const {
-    process_internal::FaultCounters counters;
     MapReduceMetrics metrics;
     try {
-      metrics = RunProcessRound(spec, inputs, sink, records, policy,
-                                &counters);
+      RunProcessRound(spec, inputs, sink, records, policy, expected_pairs,
+                      &metrics);
     } catch (const WorkerError&) {
       if (policy.on_exhausted != OnExhausted::kFallbackThread) throw;
       // Safe: nothing was emitted yet, and the local round is identical.
+      const ShuffleStats faults = metrics.shuffle;
       metrics = RunLocalRound<Input, Value>(spec, inputs, sink, records,
                                             policy, expected_pairs);
+      metrics.shuffle.worker_retries = faults.worker_retries;
+      metrics.shuffle.frames_discarded = faults.frames_discarded;
+      metrics.shuffle.deadline_kills = faults.deadline_kills;
       metrics.shuffle.thread_fallbacks = 1;
     }
-    metrics.shuffle.worker_retries = counters.retries;
-    metrics.shuffle.frames_discarded = counters.discarded;
-    metrics.shuffle.deadline_kills = counters.deadline_kills;
     return metrics;
   }
 
  private:
-  MapReduceMetrics RunProcessRound(
-      const RoundSpec<Input, Value>& spec, std::span<const Input> inputs,
-      InstanceSink* sink, InstanceSink* records, const ExecutionPolicy& policy,
-      process_internal::FaultCounters* counters) const {
-    MapReduceMetrics metrics;
+  /// Fills *out, whose fault counts survive an escaping WorkerError.
+  void RunProcessRound(const RoundSpec<Input, Value>& spec,
+                       std::span<const Input> inputs, InstanceSink* sink,
+                       InstanceSink* records, const ExecutionPolicy& policy,
+                       uint64_t expected_pairs, MapReduceMetrics* out) const {
+    MapReduceMetrics& metrics = *out;
     metrics.input_records = inputs.size();
     metrics.key_space = spec.key_space;
-    if (inputs.empty()) return metrics;
+    if (inputs.empty()) return;
     FaultInjector* injector = policy.fault_injector != nullptr
                                   ? policy.fault_injector
                                   : EnvFaultInjector();
@@ -225,7 +224,9 @@ class ProcessShuffleBackend {
     SpillBackend* spill = policy.spill_backend;
     if (injector != nullptr) spill = injector->WrapSpillBackend(spill);
     engine_internal::SpilledBuckets<Value> store(
-        policy.WithSpillBackend(spill), map_workers, partitions);
+        policy.WithSpillBackend(spill), map_workers, partitions,
+        engine_internal::BucketReserve(spec, policy, expected_pairs,
+                                       map_workers));
     std::vector<std::optional<ArmedFault>> armed(map_workers);
     std::vector<uint64_t> logical(map_workers, 0);
     std::vector<uint64_t>& link_bytes = metrics.shuffle.link_bytes_on_wire;
@@ -262,7 +263,7 @@ class ProcessShuffleBackend {
       store.FinishMap(t);
       link_bytes[t] = bytes;
     };
-    map_crew.Run(policy.retry, counters,
+    map_crew.Run(policy, &metrics.shuffle,
                  {map_start, map_collect,
                   [&](size_t t) { return store.Reopen(t); }});
 
@@ -277,11 +278,11 @@ class ProcessShuffleBackend {
     metrics.shuffle.map_bytes_on_wire =
         std::accumulate(link_bytes.begin(), link_bytes.end(), uint64_t{0});
     metrics.shuffle.process_workers = map_workers;
-    if (total_pairs == 0) return metrics;
+    if (total_pairs == 0) return;
 
     // Reduce: worker r is sent its partition group and buffers its whole
-    // output until its input's kEnd — so every send completes before any
-    // collect, with no send/recv cycle.
+    // output until its input's kEnd — so each link's send completes before
+    // its collect, with no send/recv cycle.
     const unsigned reduce_workers = policy.EffectiveProcessWorkers(total_pairs);
     const std::vector<size_t> groups =
         engine_internal::SliceBoundaries(partitions, reduce_workers);
@@ -300,6 +301,8 @@ class ProcessShuffleBackend {
       reduce_crew.Spawn(r, injector, [&](int fd, const auto& fault) {
         ReduceChild(spec, combiner, fault, fd);
       });
+    };
+    const auto reduce_collect = [&](size_t r) {
       std::vector<unsigned char> wire;
       AppendFrame(FrameKind::kHeader, &flags, 1, &wire);
       wire_bytes[r] = 0;
@@ -322,23 +325,21 @@ class ProcessShuffleBackend {
       unsigned char body[kMaxVarintBytes];
       AppendFrame(FrameKind::kEnd, body, PutVarint(sent, body), &wire);
       flush();
-    };
-    const auto reduce_collect = [&](size_t r) {
       wire_bytes[r] += process_internal::CollectOutput(
           &reduce_crew, r, flags, &replay[r], &frames[r]);
-      metrics.shuffle.reduce_bytes_on_wire += wire_bytes[r];
     };
-    reduce_crew.Run(policy.retry, counters,
+    reduce_crew.Run(policy, &metrics.shuffle,
                     {reduce_start, reduce_collect, [&](size_t r) {
                        replay[r].clear();
                        return std::exchange(frames[r], 0);
                      }});
+    metrics.shuffle.reduce_bytes_on_wire =
+        std::accumulate(wire_bytes.begin(), wire_bytes.end(), uint64_t{0});
 
     for (const std::vector<unsigned char>& output : replay) {
       process_internal::ReplayOutput(output, sink, records, &metrics);
     }
     if (counts_only) sink->EmitCount(metrics.outputs);
-    return metrics;
   }
 
   /// Map worker body: map and combine the slice, then ship its pairs and a

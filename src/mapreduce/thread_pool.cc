@@ -36,7 +36,9 @@ void ThreadPool::WorkerLoop() {
     Item item;
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      if (++parked_ == threads_.size()) parked_cv_.notify_all();
       work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      --parked_;
       if (queue_.empty()) return;  // stopping_, nothing left to drain.
       item = queue_.front();
       queue_.pop_front();
@@ -116,6 +118,11 @@ uint64_t ThreadPool::dispatches() const {
 size_t ThreadPool::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return threads_.size();
+}
+
+void ThreadPool::WaitUntilParked() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  parked_cv_.wait(lock, [&] { return parked_ == threads_.size(); });
 }
 
 }  // namespace smr

@@ -67,6 +67,13 @@ class ThreadPool {
   /// Worker threads currently alive (parked or busy).
   size_t size() const;
 
+  /// Blocks until every worker thread is parked waiting for work. A Run
+  /// can return while a thread it spawned is still starting up, or has
+  /// just finished a task; a parked thread holds no lock of the allocator
+  /// or the runtime, so the caller may fork() once this returns (as the
+  /// process backend does). The caller must not dispatch concurrently.
+  void WaitUntilParked();
+
  private:
   /// One Run() call in flight: the task, its error slots, and a countdown
   /// of queued (non-caller) tasks. Lives on Run's stack — Run blocks until
@@ -95,9 +102,11 @@ class ThreadPool {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
+  std::condition_variable parked_cv_;
   std::deque<Item> queue_;          // Guarded by mutex_.
   std::vector<std::thread> threads_;  // Guarded by mutex_.
   bool stopping_ = false;           // Guarded by mutex_.
+  size_t parked_ = 0;               // Guarded by mutex_.
   uint64_t threads_spawned_ = 0;    // Guarded by mutex_.
   uint64_t dispatches_ = 0;         // Guarded by mutex_.
   const unsigned max_threads_;

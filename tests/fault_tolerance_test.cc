@@ -198,6 +198,8 @@ std::vector<uint32_t> Iota(size_t n) {
   return inputs;
 }
 
+// The last two plans kill both slots of one crew in the same pass: each
+// is discarded and re-forked in the next pass.
 TEST(FaultTolerance, RoundLevelKillsRecoverAcrossPartitionCountsAndBudgets) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
@@ -206,24 +208,28 @@ TEST(FaultTolerance, RoundLevelKillsRecoverAcrossPartitionCountsAndBudgets) {
   const MapReduceMetrics thread_metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
 
-  for (const unsigned partitions : {1u, 0u /* auto */}) {
-    for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
-      FaultInjector injector(
-          ParseFaultPlan("map:kill:0:after=2;reduce:kill:1:after=1"));
-      CollectingSink sink;
-      const MapReduceMetrics metrics =
-          RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
-                   FaultyPolicy(3, &injector)
-                       .WithPartitions(partitions)
-                       .WithBudget(budget));
-      const std::string label = "partitions=" + std::to_string(partitions) +
-                                " budget=" + std::to_string(budget);
-      EXPECT_TRUE(metrics == thread_metrics) << label;
-      EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
-      EXPECT_EQ(metrics.shuffle.worker_retries, 2u) << label;
-      EXPECT_GT(metrics.shuffle.frames_discarded, 0u) << label;
-      EXPECT_EQ(metrics.shuffle.deadline_kills, 0u) << label;
-      EXPECT_EQ(injector.fires(), 2u) << label;
+  for (const char* plan : {"map:kill:0:after=2;reduce:kill:1:after=1",
+                           "map:kill:0:after=1;map:kill:1:after=2",
+                           "reduce:kill:0:after=0;reduce:kill:1:after=1"}) {
+    for (const unsigned partitions : {1u, 0u /* auto */}) {
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
+        FaultInjector injector(ParseFaultPlan(plan));
+        CollectingSink sink;
+        const MapReduceMetrics metrics =
+            RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+                     FaultyPolicy(3, &injector)
+                         .WithPartitions(partitions)
+                         .WithBudget(budget));
+        const std::string label =
+            std::string(plan) + " partitions=" + std::to_string(partitions) +
+            " budget=" + std::to_string(budget);
+        EXPECT_TRUE(metrics == thread_metrics) << label;
+        EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
+        EXPECT_EQ(metrics.shuffle.worker_retries, 2u) << label;
+        EXPECT_GT(metrics.shuffle.frames_discarded, 0u) << label;
+        EXPECT_EQ(metrics.shuffle.deadline_kills, 0u) << label;
+        EXPECT_EQ(injector.fires(), 2u) << label;
+      }
     }
   }
 }
@@ -270,26 +276,41 @@ TEST(FaultTolerance, StalledReduceWorkerIsKilledByDeadlineAndRetried) {
 }
 
 // A spill append that fails while one map link is drained (the budget is
-// tight enough that the round really spills) discards the attempt, retries
-// with a healthy store, and matches the unbudgeted thread run.
+// tight enough that every link spills many times) discards the attempt,
+// retries with a healthy store, and matches the unbudgeted thread run.
+// Links drain concurrently, each on its own coordinator thread, so the
+// failure is armed for the failing link's drain only: the other link
+// keeps appending through the same faulty backend and is not retried.
 TEST(FaultTolerance, SpillAppendFailureIsRetriedWithoutChangingResults) {
   const CountSpec spec = CountRound(256, /*with_combiner=*/false);
-  const std::vector<uint32_t> inputs = Iota(20000);
+  const std::vector<uint32_t> inputs = Iota(200000);
 
   CollectingSink thread_sink;
   const MapReduceMetrics thread_metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
 
-  FaultInjector injector(ParseFaultPlan("map:spillfail:0"));
-  CollectingSink sink;
-  const MapReduceMetrics metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
-               FaultyPolicy(2, &injector).WithBudget(16 * 1024));
-  EXPECT_TRUE(metrics == thread_metrics);
-  EXPECT_EQ(sink.assignments(), thread_sink.assignments());
-  EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
-  EXPECT_EQ(injector.fires(FaultKind::kFailSpillAppend), 1u);
-  EXPECT_GT(metrics.shuffle.pages_spilled, 0u);
+  const struct {
+    const char* plan;
+    uint64_t retries;
+  } kCases[] = {
+      {"map:spillfail:0", 1},
+      {"map:spillfail:1", 1},
+      {"map:spillfail:0;map:spillfail:1", 2},
+  };
+  for (const auto& test_case : kCases) {
+    FaultInjector injector(ParseFaultPlan(test_case.plan));
+    CollectingSink sink;
+    const MapReduceMetrics metrics =
+        RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+                 FaultyPolicy(2, &injector).WithBudget(16 * 1024));
+    const std::string label = test_case.plan;
+    EXPECT_TRUE(metrics == thread_metrics) << label;
+    EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
+    EXPECT_EQ(metrics.shuffle.worker_retries, test_case.retries) << label;
+    EXPECT_EQ(injector.fires(FaultKind::kFailSpillAppend), test_case.retries)
+        << label;
+    EXPECT_GT(metrics.shuffle.pages_spilled, 0u) << label;
+  }
 }
 
 // ---------------------------------------------------------------------------

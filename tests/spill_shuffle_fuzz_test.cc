@@ -33,7 +33,7 @@ namespace smr {
 namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 4, 8};
-// Unbounded, comfortable, exactly one page, and below one page — the last
+// Comfortable (1 MiB), exactly one page, and below one page — the last
 // exercises the "own resident >= spill floor" leg of the spill trigger
 // (PagePool::kSpillFloorBytes, half a page).
 const uint64_t kBudgets[] = {uint64_t{1} << 20, PagePool::kPageBytes,

@@ -5,6 +5,7 @@
 // per phase), and oversubscribed dispatches draining through a capped pool.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -110,6 +111,41 @@ TEST(ThreadPool, ExceptionInCallerTaskZeroSurfaces) {
   std::atomic<int> total{0};
   pool.Run(4, [&](size_t) { ++total; });
   EXPECT_EQ(total.load(), 4);
+}
+
+// WaitUntilParked returns on an empty pool and once every thread is parked,
+// and blocks while a pool thread is still busy with a task.
+TEST(ThreadPool, WaitUntilParkedWaitsForBusyThreads) {
+  ThreadPool pool;
+  pool.WaitUntilParked();  // No threads yet.
+  pool.Run(4, [](size_t) {});
+  pool.WaitUntilParked();
+  EXPECT_EQ(pool.size(), 3u);
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::thread dispatcher([&] {
+    pool.Run(2, [&](size_t t) {
+      if (t == 0) {  // Keeps the caller from draining task 1 itself.
+        while (!started) std::this_thread::yield();
+        return;
+      }
+      started = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!started) std::this_thread::yield();
+  std::atomic<bool> parked{false};
+  std::thread waiter([&] {
+    pool.WaitUntilParked();
+    parked = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(parked.load());
+  release = true;
+  dispatcher.join();
+  waiter.join();
+  EXPECT_TRUE(parked.load());
 }
 
 TEST(ThreadPool, EngineRoundsUnderOneDriverReuseThePool) {
