@@ -9,6 +9,7 @@
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "util/combinatorics.h"
+#include "util/cost_model.h"
 #include "util/hashing.h"
 
 namespace smr {
@@ -68,33 +69,21 @@ MapReduceMetrics BucketOrientedEnumerate(
   const BucketHasher hasher(buckets, seed);
   const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
   const uint64_t key_space = Binomial(buckets + p - 1, p);
-  // The p-2 extra bucket values an edge's key is padded with; shared across
-  // all mapper invocations.
-  const std::vector<std::vector<int>> paddings =
-      NondecreasingSequences(buckets, p - 2);
+  const BucketKeys keys(buckets, p);
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
     const Edge oriented = order.Orient(edge);
     const int i = hasher.Bucket(oriented.first);
     const int j = hasher.Bucket(oriented.second);  // i <= j under the order
-    std::vector<int> multiset(p);
-    for (const auto& padding : paddings) {
-      multiset.assign(padding.begin(), padding.end());
-      multiset.push_back(i);
-      multiset.push_back(j);
-      std::sort(multiset.begin(), multiset.end());
-      out->Emit(RankNondecreasing(multiset, buckets), oriented);
-    }
+    keys.ForEach(i, j, [&](uint64_t key) { out->Emit(key, oriented); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankNondecreasing(key, buckets, p);
-    const Subgraph local = BuildSubgraph(values);
+    RankedSubgraph local = BuildRankedSubgraph(values, order);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
+    const CqEvaluator evaluator(local.num_nodes(), std::move(local.edges));
     // The join binds only solutions whose bucket multiset is this
     // reducer's own; every other reducer holding these edges never binds
     // them. The sink re-checks each emitted solution.
@@ -108,7 +97,9 @@ MapReduceMetrics BucketOrientedEnumerate(
           return true;
         },
         context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost, &ownership);
+    CostCounter join;
+    evaluator.EvaluateAll(cqs, &reducer_sink, &join, &ownership);
+    AddJoinCost(join, context->cost);
   };
 
   JobDriver driver(policy);
@@ -117,7 +108,7 @@ MapReduceMetrics BucketOrientedEnumerate(
   // rate C(b+p-3, p-2)), so the engine can presize its scatter buckets.
   const RoundSpec<Edge, Edge> round{"bucket-oriented", map_fn, reduce_fn,
                                     key_space, {},
-                                    static_cast<double>(paddings.size())};
+                                    static_cast<double>(keys.per_edge())};
   const MapReduceMetrics metrics = driver.RunRound(round, graph.edges(), sink);
   if (job != nullptr) *job = driver.job();
   return metrics;
@@ -139,6 +130,7 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
   }
   const BucketHasher hasher(b, seed);
   const uint64_t key_space = Binomial(b, p);
+  const NodeOrder order = NodeOrder::Identity(graph.num_nodes());
 
   // Sends the edge to every p-subset of groups containing its (one or two)
   // groups, extending only subsets of the remaining groups around them.
@@ -157,10 +149,9 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankSubset(key, b, p);
-    const Subgraph local = BuildSubgraph(values);
+    RankedSubgraph local = BuildRankedSubgraph(values, order);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
-    const CqEvaluator evaluator(local.graph, local_order);
+    const CqEvaluator evaluator(local.num_nodes(), std::move(local.edges));
     ReducerSink reducer_sink(
         local.local_to_global,
         [&](std::span<const NodeId>, std::span<const NodeId> global) {
@@ -185,7 +176,9 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
           return distinct == own;
         },
         context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    CostCounter join;
+    evaluator.EvaluateAll(cqs, &reducer_sink, &join);
+    AddJoinCost(join, context->cost);
   };
 
   JobDriver driver(policy);

@@ -22,7 +22,8 @@ enum class StepKind { kAnchored, kEdgeSeed, kFree };
 /// the connecting subgoal is (anchor, var), below it if it is (var,
 /// anchor)) and closes the subgoals to the bound `partners` by
 /// intersecting their neighbour windows. A free step binds a variable in
-/// no subgoal at all (an isolated pattern node) by scanning every node.
+/// no subgoal at all (an isolated pattern node) by scanning every rank of
+/// its window, ascending.
 struct PlanStep {
   StepKind kind = StepKind::kAnchored;
   int var = -1;
@@ -53,7 +54,9 @@ struct PlanStep {
 /// first subgoal in sorted order, which leaves the plans of the
 /// degree-regular patterns (triangle, square, cliques, cycles) and of
 /// Path(3) and stars as the subgoal order gives them.
-std::vector<PlanStep> BuildPlan(const ConjunctiveQuery& cq) {
+std::vector<PlanStep> BuildPlan(
+    const ConjunctiveQuery& cq,
+    const std::vector<std::pair<int, int>>& entailed) {
   std::vector<PlanStep> plan;
   const auto& subgoals = cq.subgoals();
   const int p = cq.num_vars();
@@ -157,7 +160,7 @@ std::vector<PlanStep> BuildPlan(const ConjunctiveQuery& cq) {
     bound_at[plan[i].var] = i;
     if (plan[i].var2 >= 0) bound_at[plan[i].var2] = i;
   }
-  for (const auto& [a, b] : cq.Atoms().entailed) {
+  for (const auto& [a, b] : entailed) {
     PlanStep& step = plan[std::max(bound_at[a], bound_at[b])];
     if (step.kind != StepKind::kAnchored) {
       step.atoms.emplace_back(a, b);
@@ -191,8 +194,9 @@ struct RankColours {
   std::vector<uint32_t> begin;
 };
 
-RankColours ColourRanks(const Ownership& ownership, const NodeOrder& order) {
-  const NodeId n = order.num_nodes();
+RankColours ColourRanks(const Ownership& ownership,
+                        std::span<const NodeId> node_of_rank) {
+  const NodeId n = static_cast<NodeId>(node_of_rank.size());
   if (ownership.colour.size() != n) {
     throw std::invalid_argument(
         "ownership needs one colour per graph node: got " +
@@ -206,7 +210,8 @@ RankColours ColourRanks(const Ownership& ownership, const NodeOrder& order) {
   RankColours ranks;
   ranks.colour_of_rank.resize(n);
   ranks.begin.assign(colours + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
+  for (NodeId r = 0; r < n; ++r) {
+    const NodeId u = node_of_rank[r];
     const int c = ownership.colour[u];
     if (c < 0 || c >= colours) {
       throw std::invalid_argument("ownership colour " + std::to_string(c) +
@@ -214,7 +219,7 @@ RankColours ColourRanks(const Ownership& ownership, const NodeOrder& order) {
                                   " is outside [0, " +
                                   std::to_string(colours) + ")");
     }
-    ranks.colour_of_rank[order.Rank(u)] = c;
+    ranks.colour_of_rank[r] = c;
     ++ranks.begin[c + 1];
   }
   for (NodeId r = 1; r < n; ++r) {
@@ -228,16 +233,40 @@ RankColours ColourRanks(const Ownership& ownership, const NodeOrder& order) {
   return ranks;
 }
 
+/// Each variable's owned-colour window (see CqEvaluator): the ranks of the
+/// colours own[k] .. own[p-1-j], where `own` is the quota as a sorted
+/// colour multiset and the variable has k entailed predecessors and j
+/// entailed successors. Variable v may bind ranks [lo[v], hi[v]).
+void OwnedColourWindows(const std::vector<int>& quota,
+                        const RankColours& colours,
+                        const std::vector<std::pair<int, int>>& entailed,
+                        std::vector<uint32_t>* lo, std::vector<uint32_t>* hi) {
+  std::vector<int> own;
+  for (size_t c = 0; c < quota.size(); ++c) {
+    own.insert(own.end(), quota[c], static_cast<int>(c));
+  }
+  const int p = static_cast<int>(own.size());
+  std::vector<int> predecessors(p, 0);
+  std::vector<int> successors(p, 0);
+  for (const auto& [a, b] : entailed) {
+    ++successors[a];
+    ++predecessors[b];
+  }
+  for (int v = 0; v < p; ++v) {
+    (*lo)[v] = colours.begin[own[predecessors[v]]];
+    (*hi)[v] = colours.begin[own[p - 1 - successors[v]] + 1];
+  }
+}
+
 /// The join's working state. It binds variables to node *ranks*: windows,
 /// order atoms, distinctness and ownership are all rank comparisons, and
 /// node ids are looked up only to emit.
 struct EvalState {
   const ConjunctiveQuery* cq;
-  const Graph* graph;
-  const NodeOrder* order;
   // The evaluator's rank-space adjacency (see CqEvaluator::offsets_).
   const size_t* offsets;
   const NodeId* neighbours;
+  std::span<const Edge> edges;  // rank pairs, in seed scan order
   const NodeId* node_of_rank;
   const std::vector<PlanStep>* plan;
   InstanceSink* sink;
@@ -246,6 +275,10 @@ struct EvalState {
   const int* colour = nullptr;
   std::vector<int> quota;  // what is left of each colour's quota
   const std::vector<uint32_t>* colour_begin = nullptr;
+  // Each variable's static rank window [var_lo, var_hi): its owned-colour
+  // window under ownership, all ranks otherwise.
+  std::vector<uint32_t> var_lo;
+  std::vector<uint32_t> var_hi;
   std::vector<uint32_t> rank;  // by variable
   /// Intersection buffers by depth: entries 2 * depth and 2 * depth + 1
   /// belong to the step at `depth` (see EvaluateAll for their sizing).
@@ -264,6 +297,10 @@ struct EvalState {
       if (rank[a] >= rank[b]) return false;
     }
     return true;
+  }
+
+  bool InWindow(int var, uint32_t r) const {
+    return r >= var_lo[var] && r < var_hi[var];
   }
 
   bool Distinct(const PlanStep& step, uint32_t r) const {
@@ -332,8 +369,8 @@ struct EvalState {
   }
 
   void BindAnchored(const PlanStep& step, size_t depth) {
-    uint32_t lo = 0;
-    uint32_t hi = order->num_nodes();
+    uint32_t lo = var_lo[step.var];
+    uint32_t hi = var_hi[step.var];
     for (const int u : step.after) lo = std::max(lo, rank[u] + 1);
     for (const int u : step.before) hi = std::min(hi, rank[u]);
     if (colour != nullptr) {
@@ -382,12 +419,9 @@ struct EvalState {
   }
 
   void BindEdgeSeed(const PlanStep& step, size_t depth) {
-    for (const Edge& e : graph->edges()) {
+    for (const auto& [first, second] : edges) {
       ++cost->edges_scanned;
-      const uint32_t ru = order->Rank(e.first);
-      const uint32_t rv = order->Rank(e.second);
-      const uint32_t first = std::min(ru, rv);
-      const uint32_t second = std::max(ru, rv);
+      if (!InWindow(step.var, first) || !InWindow(step.var2, second)) continue;
       if (!Distinct(step, first) || !Distinct(step, second)) continue;
       if (!Spend(first)) continue;
       if (!Spend(second)) {
@@ -403,8 +437,7 @@ struct EvalState {
   }
 
   void BindFree(const PlanStep& step, size_t depth) {
-    for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      const uint32_t r = order->Rank(node);
+    for (uint32_t r = var_lo[step.var]; r < var_hi[step.var]; ++r) {
       if (!Distinct(step, r) || !Spend(r)) continue;
       rank[step.var] = r;
       if (AtomsHold(step)) Step(depth + 1);
@@ -461,22 +494,62 @@ void Ownership::RequireOwned(std::span<const NodeId> assignment,
   throw std::logic_error(message);
 }
 
-CqEvaluator::CqEvaluator(const Graph& graph, NodeOrder order)
-    : graph_(&graph), order_(std::move(order)) {
-  // Sort-free build: appending each node's rank to its neighbours' rows in
-  // ascending rank order leaves every row ascending.
-  const NodeId n = graph.num_nodes();
-  node_of_rank_.resize(n);
-  for (NodeId u = 0; u < n; ++u) node_of_rank_[order_.Rank(u)] = u;
-  offsets_.assign(n + 1, 0);
-  for (NodeId r = 0; r < n; ++r) {
-    offsets_[r + 1] = offsets_[r] + graph.Degree(node_of_rank_[r]);
+namespace {
+
+/// The edges of `graph` as (lower rank, higher rank) pairs under `order`,
+/// in Graph::edges() order.
+std::vector<Edge> RankEdges(const Graph& graph, const NodeOrder& order) {
+  std::vector<Edge> edges;
+  edges.reserve(graph.num_edges());
+  for (const auto& [u, v] : graph.edges()) {
+    const uint32_t ru = order.Rank(u);
+    const uint32_t rv = order.Rank(v);
+    edges.emplace_back(std::min(ru, rv), std::max(ru, rv));
   }
-  neighbours_.resize(offsets_[n]);
-  std::vector<size_t> cursor(offsets_.begin(), offsets_.begin() + n);
-  for (NodeId r = 0; r < n; ++r) {
-    for (const NodeId w : graph.Neighbors(node_of_rank_[r])) {
-      neighbours_[cursor[order_.Rank(w)]++] = r;
+  return edges;
+}
+
+}  // namespace
+
+CqEvaluator::CqEvaluator(const Graph& graph, const NodeOrder& order)
+    : CqEvaluator(graph.num_nodes(), RankEdges(graph, order)) {
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    node_of_rank_[order.Rank(u)] = u;
+  }
+}
+
+CqEvaluator::CqEvaluator(NodeId num_nodes, std::vector<Edge> edges)
+    : edges_(std::move(edges)), node_of_rank_(num_nodes) {
+  std::iota(node_of_rank_.begin(), node_of_rank_.end(), 0u);
+  // Two-pass counting fill. The first pass writes each row unsorted; the
+  // second walks those rows by ascending rank t and appends t to the row of
+  // each neighbour, which leaves every row ascending without a sort.
+  offsets_.assign(num_nodes + 1, 0);
+  for (const auto& [r, s] : edges_) {
+    if (r >= s || s >= num_nodes) {
+      throw std::invalid_argument(
+          "rank-space edge (" + std::to_string(r) + ", " + std::to_string(s) +
+          ") is not an ordered pair of ranks below " +
+          std::to_string(num_nodes));
+    }
+    ++offsets_[r + 1];
+    ++offsets_[s + 1];
+  }
+  for (NodeId r = 0; r < num_nodes; ++r) {
+    max_degree_ = std::max(max_degree_, offsets_[r + 1]);
+    offsets_[r + 1] += offsets_[r];
+  }
+  std::vector<NodeId> unsorted(offsets_[num_nodes]);
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [r, s] : edges_) {
+    unsorted[cursor[r]++] = s;
+    unsorted[cursor[s]++] = r;
+  }
+  neighbours_.resize(unsorted.size());
+  std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
+  for (NodeId t = 0; t < num_nodes; ++t) {
+    for (size_t i = offsets_[t]; i < offsets_[t + 1]; ++i) {
+      neighbours_[cursor[unsorted[i]]++] = t;
     }
   }
 }
@@ -490,10 +563,11 @@ uint64_t CqEvaluator::Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
 uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
                                   InstanceSink* sink, CostCounter* cost,
                                   const Ownership* ownership) const {
+  const NodeId n = static_cast<NodeId>(node_of_rank_.size());
   RankColours colours;
   int quota_total = 0;
   if (ownership != nullptr) {
-    colours = ColourRanks(*ownership, order_);
+    colours = ColourRanks(*ownership, node_of_rank_);
     quota_total = std::accumulate(ownership->quota.begin(),
                                   ownership->quota.end(), 0);
   }
@@ -505,7 +579,7 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
   // sanitizer sees. An intersection result is at most its shorter input,
   // itself at most the graph's max degree, plus the kernels' slack.
   std::vector<std::vector<NodeId>> buffers;
-  const size_t buffer_size = graph_->MaxDegree() + kIntersectSlack;
+  const size_t buffer_size = max_degree_ + kIntersectSlack;
   uint64_t total = 0;
   for (const ConjunctiveQuery& cq : cqs) {
     if (ownership != nullptr && quota_total != cq.num_vars()) {
@@ -514,21 +588,25 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
           ", not the CQ's " + std::to_string(cq.num_vars()) + " variables");
     }
     if (cq.subgoals().empty()) continue;
-    const std::vector<PlanStep> plan = BuildPlan(cq);
+    const ConjunctiveQuery::ConditionAtoms atoms = cq.Atoms();
+    const std::vector<PlanStep> plan = BuildPlan(cq, atoms.entailed);
     EvalState state;
     state.cq = &cq;
-    state.graph = graph_;
-    state.order = &order_;
     state.offsets = offsets_.data();
     state.neighbours = neighbours_.data();
+    state.edges = edges_;
     state.node_of_rank = node_of_rank_.data();
     state.plan = &plan;
     state.sink = sink;
     state.cost = cost != nullptr ? cost : &dummy;
+    state.var_lo.assign(cq.num_vars(), 0);
+    state.var_hi.assign(cq.num_vars(), n);
     if (ownership != nullptr) {
       state.colour = colours.colour_of_rank.data();
       state.quota = ownership->quota;
       state.colour_begin = &colours.begin;
+      OwnedColourWindows(ownership->quota, colours, atoms.entailed,
+                         &state.var_lo, &state.var_hi);
     }
     state.rank.assign(cq.num_vars(), 0);
     state.assignment.assign(cq.num_vars(), 0);

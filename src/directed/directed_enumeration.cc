@@ -148,22 +148,15 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
   }
   const BucketHasher hasher(buckets, seed);
   const uint64_t key_space = Binomial(buckets + p - 1, p);
-  const std::vector<std::vector<int>> paddings =
-      NondecreasingSequences(buckets, p - 2);
+  // Multiset ranks: dense in C(b+p-1, p) for the partitioned shuffle's
+  // key-range split, and immune to the base-b packing's uint64_t wrap.
+  const BucketKeys keys(buckets, p);
 
   auto map_fn = [&](const Arc& arc, Emitter<Arc>* out) {
     const int i = hasher.Bucket(arc.first);
     const int j = hasher.Bucket(arc.second);
-    std::vector<int> multiset(p);
-    for (const auto& padding : paddings) {
-      multiset.assign(padding.begin(), padding.end());
-      multiset.push_back(std::min(i, j));
-      multiset.push_back(std::max(i, j));
-      std::sort(multiset.begin(), multiset.end());
-      // Multiset rank: dense in C(b+p-1, p) for the partitioned shuffle's
-      // key-range split, and immune to the base-b packing's uint64_t wrap.
-      out->Emit(RankNondecreasing(multiset, buckets), arc);
-    }
+    keys.ForEach(std::min(i, j), std::max(i, j),
+                 [&](uint64_t key) { out->Emit(key, arc); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const Arc> values,

@@ -95,17 +95,6 @@ NodeOrder NodeOrder::ByBucket(NodeId num_nodes, const BucketHasher& hasher) {
   return NodeOrder(RanksFromSorted(nodes));
 }
 
-NodeOrder NodeOrder::Project(const NodeOrder& global,
-                             const std::vector<NodeId>& local_to_global) {
-  const NodeId n = static_cast<NodeId>(local_to_global.size());
-  std::vector<NodeId> locals(n);
-  std::iota(locals.begin(), locals.end(), 0u);
-  std::sort(locals.begin(), locals.end(), [&](NodeId a, NodeId b) {
-    return global.Rank(local_to_global[a]) < global.Rank(local_to_global[b]);
-  });
-  return NodeOrder(RanksFromSorted(locals));
-}
-
 NodeOrder NodeOrder::Reversed() const {
   std::vector<uint32_t> rank(rank_.size());
   const uint32_t top = static_cast<uint32_t>(rank_.size()) - 1;

@@ -40,11 +40,6 @@ class NodeOrder {
   /// Bucket-then-id order of Section 2.3 built from `hasher`.
   static NodeOrder ByBucket(NodeId num_nodes, const BucketHasher& hasher);
 
-  /// Restricts a global order to a reducer-local subgraph: local node i
-  /// (which is `local_to_global[i]` globally) is ranked by the global rank.
-  static NodeOrder Project(const NodeOrder& global,
-                           const std::vector<NodeId>& local_to_global);
-
   /// The reverse order (u < v here iff v < u there). Building an
   /// OrientedAdjacency over the reversed order yields predecessor lists.
   NodeOrder Reversed() const;

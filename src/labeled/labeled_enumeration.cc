@@ -165,22 +165,14 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
   const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
   const uint64_t key_space = Binomial(buckets + p - 1, p);
   const auto cqs = LabeledCqsForSample(pattern);
-  const std::vector<std::vector<int>> paddings =
-      NondecreasingSequences(buckets, p - 2);
+  const BucketKeys keys(buckets, p);
 
   auto map_fn = [&](const LabeledEdge& edge, Emitter<LabeledEdge>* out) {
     const Edge oriented = order.Orient({edge.u, edge.v});
     const int i = hasher.Bucket(oriented.first);
-    const int j = hasher.Bucket(oriented.second);
-    std::vector<int> multiset(p);
-    for (const auto& padding : paddings) {
-      multiset.assign(padding.begin(), padding.end());
-      multiset.push_back(i);
-      multiset.push_back(j);
-      std::sort(multiset.begin(), multiset.end());
-      out->Emit(RankNondecreasing(multiset, buckets),
-                LabeledEdge{oriented.first, oriented.second, edge.label});
-    }
+    const int j = hasher.Bucket(oriented.second);  // i <= j under the order
+    const LabeledEdge value{oriented.first, oriented.second, edge.label};
+    keys.ForEach(i, j, [&](uint64_t key) { out->Emit(key, value); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const LabeledEdge> values,
@@ -189,11 +181,9 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
     std::vector<Edge> skeleton_edges;
     skeleton_edges.reserve(values.size());
     for (const auto& e : values) skeleton_edges.emplace_back(e.u, e.v);
-    const Subgraph local = BuildSubgraph(skeleton_edges);
+    RankedSubgraph local = BuildRankedSubgraph(skeleton_edges, order);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
+    const CqEvaluator evaluator(local.num_nodes(), std::move(local.edges));
     // The join binds only solutions whose bucket multiset is this
     // reducer's own, as in the unlabeled bucket-oriented reducer.
     const Ownership ownership =
@@ -202,10 +192,11 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
     // Sink: re-check ownership, translate to global ids, check labels.
     class LabeledSink : public InstanceSink {
      public:
-      LabeledSink(const Subgraph& local, const LabeledGraph& graph,
-                  const LabeledCq** current, const Ownership& ownership,
-                  uint64_t key, ReduceContext* context)
-          : local_(local),
+      LabeledSink(const std::vector<NodeId>& local_to_global,
+                  const LabeledGraph& graph, const LabeledCq** current,
+                  const Ownership& ownership, uint64_t key,
+                  ReduceContext* context)
+          : local_to_global_(local_to_global),
             graph_(graph),
             current_(current),
             ownership_(ownership),
@@ -216,7 +207,7 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
         ownership_.RequireOwned(assignment, "labeled bucket-oriented", key_);
         scratch_.resize(assignment.size());
         for (size_t i = 0; i < assignment.size(); ++i) {
-          scratch_[i] = local_.local_to_global[assignment[i]];
+          scratch_[i] = local_to_global_[assignment[i]];
         }
         const LabeledCq& lcq = **current_;
         for (size_t s = 0; s < lcq.cq.subgoals().size(); ++s) {
@@ -230,7 +221,7 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
       }
 
      private:
-      const Subgraph& local_;
+      const std::vector<NodeId>& local_to_global_;
       const LabeledGraph& graph_;
       const LabeledCq** current_;
       const Ownership& ownership_;
@@ -240,11 +231,14 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
     };
 
     const LabeledCq* current = nullptr;
-    LabeledSink labeled_sink(local, graph, &current, ownership, key, context);
+    LabeledSink labeled_sink(local.local_to_global, graph, &current,
+                             ownership, key, context);
+    CostCounter join;
     for (const LabeledCq& lcq : cqs) {
       current = &lcq;
-      evaluator.Evaluate(lcq.cq, &labeled_sink, context->cost, &ownership);
+      evaluator.Evaluate(lcq.cq, &labeled_sink, &join, &ownership);
     }
+    AddJoinCost(join, context->cost);
   };
 
   JobDriver driver(policy);

@@ -86,6 +86,22 @@ std::vector<std::vector<int>> NondecreasingSequences(int base, int length) {
   return out;
 }
 
+BucketKeys::BucketKeys(int buckets, int p)
+    : p_(p), stride_(static_cast<size_t>(buckets) + 1) {
+  for (const auto& padding : NondecreasingSequences(buckets, p - 2)) {
+    paddings_.insert(paddings_.end(), padding.begin(), padding.end());
+    ++per_edge_;
+  }
+  prefix_.assign(static_cast<size_t>(p) * stride_, 0);
+  for (int pos = 0; pos < p; ++pos) {
+    const int rem = p - pos - 1;
+    uint64_t* row = prefix_.data() + static_cast<size_t>(pos) * stride_;
+    for (int v = 0; v < buckets; ++v) {
+      row[v + 1] = row[v] + Binomial(buckets - v + rem - 1, rem);
+    }
+  }
+}
+
 uint64_t RankNondecreasing(const std::vector<int>& seq, int base) {
   // Lexicographic rank: count sequences that precede `seq`. At position i,
   // for each value v in [prev, seq[i]), the remaining length-(i+1) positions

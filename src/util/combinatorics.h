@@ -1,6 +1,7 @@
 #ifndef SMR_UTIL_COMBINATORICS_H_
 #define SMR_UTIL_COMBINATORICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +52,58 @@ uint64_t RankNondecreasing(const std::vector<int>& seq, int base);
 /// Precondition: rank < C(base+length-1, length) — the greedy digit search
 /// does not terminate for out-of-range ranks.
 std::vector<int> UnrankNondecreasing(uint64_t rank, int base, int length);
+
+/// The reducer keys a bucket-oriented mapper (Section 4.5) emits for one
+/// edge. With b buckets and p pattern nodes, an edge whose endpoints lie in
+/// buckets i <= j goes to one reducer per padding, a nondecreasing
+/// sequence of p-2 more buckets: the key is the RankNondecreasing rank of
+/// the padding with i and j merged in. The paddings are generated once per
+/// job, and each key is ranked while i and j are merged into its padding,
+/// from a prefix table of p x (b+1) partial rank sums, so a key costs p
+/// table reads and allocates nothing.
+class BucketKeys {
+ public:
+  /// Requires buckets >= 1 and p >= 2.
+  BucketKeys(int buckets, int p);
+
+  /// C(b+p-3, p-2): the keys per edge, the paper's replication rate.
+  size_t per_edge() const { return per_edge_; }
+
+  /// Calls fn(key) once per padding, in NondecreasingSequences order.
+  /// Requires 0 <= i <= j < b.
+  template <typename Fn>
+  void ForEach(int i, int j, Fn&& fn) const {
+    const int pad = p_ - 2;
+    const int pair[2] = {i, j};
+    const int* padding = paddings_.data();
+    for (size_t s = 0; s < per_edge_; ++s, padding += pad) {
+      uint64_t key = 0;
+      int prev = 0;
+      int k = 0;
+      int m = 0;
+      const uint64_t* row = prefix_.data();
+      for (int pos = 0; pos < p_; ++pos, row += stride_) {
+        const int v = m < 2 && (k == pad || pair[m] <= padding[k])
+                          ? pair[m++]
+                          : padding[k++];
+        key += row[v] - row[prev];
+        prev = v;
+      }
+      fn(key);
+    }
+  }
+
+ private:
+  int p_;
+  size_t stride_;      // b + 1
+  size_t per_edge_ = 0;
+  // The paddings, flattened: padding s is entries [s(p-2), (s+1)(p-2)).
+  std::vector<int> paddings_;
+  // Row pos, entry v: the sum over u < v of C(b-u+rem-1, rem), rem =
+  // p-pos-1. A position adds row[v] - row[prev] to the rank, which is
+  // what RankNondecreasing adds there.
+  std::vector<uint64_t> prefix_;
+};
 
 /// Lexicographic rank of a strictly increasing sequence (a subset written
 /// in ascending order) among all k-subsets of [0, base). Bijection onto

@@ -9,6 +9,7 @@
 #include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
+#include "graph/subgraph.h"
 #include "labeled/labeled_graph.h"
 #include "tests/test_util.h"
 #include "util/combinatorics.h"
@@ -330,6 +331,116 @@ TEST_P(CqEvaluatorOwnership, EmitsExactlyTheOwnedAssignmentsInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, CqEvaluatorOwnership, ::testing::Range(0, 9));
+
+TEST_P(CqEvaluatorOwnership, RankedSubgraphBuildMatchesTheGraphBuild) {
+  // A reducer builds its evaluator straight from the edges shipped to it
+  // (BuildRankedSubgraph). It must join exactly like an evaluator over the
+  // same edges built as a Graph under the same order: the same
+  // assignments, in the same order, at the same cost, however the edges
+  // arrive. The spans are relabelled to [0, k) first, so every node of the
+  // reference graph is an endpoint and ByBucket on the relabelled ids is
+  // the order both builds use.
+  const SampleGraph patterns[] = {
+      SampleGraph::Triangle(), SampleGraph::Square(),
+      SampleGraph::Lollipop(), SampleGraph::Cycle(5),
+      SampleGraph::Clique(4),  SampleGraph::Path(4),
+      SampleGraph::Star(4),    SampleGraph(4, {{0, 1}, {2, 3}}),
+      SampleGraph(3, {{0, 1}})};
+  const SampleGraph& pattern = patterns[GetParam()];
+  const auto cqs = CqsForSample(pattern);
+  const int p = pattern.num_vars();
+  Rng rng(200 + GetParam());
+  size_t compared = 0;
+  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+    const Graph g = ErdosRenyi(30, 120, seed);
+    const BucketHasher hasher(3, seed);
+    const NodeOrder order = NodeOrder::ByBucket(g.num_nodes(), hasher);
+    // Reducer-shaped spans: the edges a bucket-oriented mapper ships to
+    // three of the keys, oriented by the order, plus the whole edge list.
+    const BucketKeys keys(hasher.buckets(), std::max(p, 2));
+    std::vector<std::vector<Edge>> shipped(3);
+    for (const Edge& e : g.edges()) {
+      const Edge oriented = order.Orient(e);
+      keys.ForEach(hasher.Bucket(oriented.first),
+                   hasher.Bucket(oriented.second), [&](uint64_t key) {
+                     if (key < shipped.size()) shipped[key].push_back(oriented);
+                   });
+    }
+    shipped.push_back(g.edges());
+    for (const std::vector<Edge>& span : shipped) {
+      const Subgraph relabelled = BuildSubgraph(span);
+      const NodeId k = relabelled.graph.num_nodes();
+      const NodeOrder local_order = NodeOrder::ByBucket(k, hasher);
+      CollectingSink expected;
+      CostCounter expected_cost;
+      CqEvaluator(relabelled.graph, local_order)
+          .EvaluateAll(cqs, &expected, &expected_cost);
+
+      // The span in relabelled ids as it arrived, then shuffled, with
+      // every edge reversed, and with every edge twice.
+      std::vector<Edge> arrived;
+      for (const auto& [u, v] : span) {
+        const auto local = [&](NodeId node) {
+          return static_cast<NodeId>(
+              std::lower_bound(relabelled.local_to_global.begin(),
+                               relabelled.local_to_global.end(), node) -
+              relabelled.local_to_global.begin());
+        };
+        arrived.emplace_back(local(u), local(v));
+      }
+      std::vector<Edge> shuffled = arrived;
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+      }
+      std::vector<Edge> reversed;
+      for (const auto& [u, v] : arrived) reversed.emplace_back(v, u);
+      std::vector<Edge> doubled = shuffled;
+      doubled.insert(doubled.end(), reversed.begin(), reversed.end());
+      for (const auto* variant : {&arrived, &shuffled, &reversed, &doubled}) {
+        RankedSubgraph ranked = BuildRankedSubgraph(*variant, local_order);
+        ASSERT_EQ(ranked.num_nodes(), k);
+        CollectingSink got;
+        CostCounter got_cost;
+        CqEvaluator(k, std::move(ranked.edges))
+            .EvaluateAll(cqs, &got, &got_cost);
+        std::vector<std::vector<NodeId>> translated = got.assignments();
+        for (auto& assignment : translated) {
+          for (NodeId& node : assignment) {
+            node = ranked.local_to_global[node];
+          }
+        }
+        EXPECT_EQ(translated, expected.assignments())
+            << pattern.ToString() << " seed=" << seed;
+        EXPECT_EQ(got_cost, expected_cost)
+            << pattern.ToString() << " seed=" << seed;
+        compared += expected.assignments().size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u) << pattern.ToString();
+
+  // An empty span builds an empty evaluator; a single edge, one node pair.
+  const NodeOrder order = NodeOrder::Identity(8);
+  const RankedSubgraph empty = BuildRankedSubgraph({}, order);
+  EXPECT_TRUE(empty.local_to_global.empty());
+  EXPECT_TRUE(empty.edges.empty());
+  CostCounter empty_cost;
+  EXPECT_EQ(CqEvaluator(0, {}).EvaluateAll(cqs, nullptr, &empty_cost), 0u);
+  EXPECT_EQ(empty_cost, CostCounter());
+  const std::vector<Edge> single = {{6, 2}};
+  const RankedSubgraph one = BuildRankedSubgraph(single, order);
+  EXPECT_EQ(one.local_to_global, (std::vector<NodeId>{2, 6}));
+  EXPECT_EQ(one.edges, (std::vector<Edge>{{0, 1}}));
+  CollectingSink one_sink;
+  CostCounter one_cost;
+  CqEvaluator(2, one.edges).EvaluateAll(cqs, &one_sink, &one_cost);
+  CollectingSink reference_sink;
+  CostCounter reference_cost;
+  CqEvaluator(Graph(2, {{0, 1}}), NodeOrder::Identity(2))
+      .EvaluateAll(cqs, &reference_sink, &reference_cost);
+  EXPECT_EQ(one_sink.assignments(), reference_sink.assignments());
+  EXPECT_EQ(one_cost, reference_cost);
+}
 
 TEST(CqEvaluatorOwnership, RejectsContractViolations) {
   const Graph g = ErdosRenyi(12, 30, 4);

@@ -74,17 +74,6 @@ TEST(NodeOrder, ByBucketGroupsBuckets) {
   }
 }
 
-TEST(NodeOrder, ProjectPreservesRelativeOrder) {
-  Graph g(6, {{0, 5}, {2, 4}});
-  const NodeOrder global = NodeOrder::Identity(6).Reversed();
-  const std::vector<NodeId> locals = {0, 2, 4, 5};
-  const NodeOrder projected = NodeOrder::Project(global, locals);
-  // Global reversed order: 5 < 4 < 2 < 0; locals are indices into `locals`.
-  EXPECT_TRUE(projected.Less(3, 2));  // node 5 before node 4
-  EXPECT_TRUE(projected.Less(2, 1));  // node 4 before node 2
-  EXPECT_TRUE(projected.Less(1, 0));  // node 2 before node 0
-}
-
 TEST(OrientedAdjacency, SuccessorsRespectOrder) {
   Graph g(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}});
   const NodeOrder order = NodeOrder::Identity(4);

@@ -123,11 +123,16 @@ TEST_P(LabeledMrParam, BucketOrientedMatchesSerial) {
   };
   for (const auto& pattern : patterns) {
     CollectingSink mr_sink;
-    LabeledBucketOrientedEnumerate(pattern, g, buckets, seed, &mr_sink);
+    const auto metrics =
+        LabeledBucketOrientedEnumerate(pattern, g, buckets, seed, &mr_sink);
     CollectingSink serial_sink;
     EnumerateLabeledInstances(pattern, g, &serial_sink, nullptr);
     EXPECT_EQ(KeysOf(mr_sink, pattern.skeleton()),
               KeysOf(serial_sink, pattern.skeleton()))
+        << pattern.ToString() << " b=" << buckets << " seed=" << seed;
+    // Each emitted instance is one output of the cost model, not two: the
+    // join's own count of its solutions stays out of the reducer's cost.
+    EXPECT_EQ(metrics.reduce_cost.outputs, mr_sink.assignments().size())
         << pattern.ToString() << " b=" << buckets << " seed=" << seed;
   }
 }

@@ -96,6 +96,36 @@ TEST(RankNondecreasing, IsBijectionOntoRange) {
   }
 }
 
+TEST(BucketKeys, MatchRankNondecreasingOfEachPaddedMultiset) {
+  // The mapper key helper must reproduce, bit for bit and in the same
+  // order, the keys of the padding loop it replaced: each padding with i
+  // and j appended, sorted, and ranked by RankNondecreasing.
+  for (const int buckets : {1, 2, 3, 4, 5, 6, 7, 8, 13, 30}) {
+    for (int p = 2; p <= (buckets > 8 ? 4 : 5); ++p) {
+      const BucketKeys keys(buckets, p);
+      const auto paddings = NondecreasingSequences(buckets, p - 2);
+      ASSERT_EQ(keys.per_edge(), paddings.size());
+      EXPECT_EQ(keys.per_edge(), Binomial(buckets + p - 3, p - 2));
+      for (int i = 0; i < buckets; ++i) {
+        for (int j = i; j < buckets; ++j) {
+          std::vector<uint64_t> expected;
+          for (const auto& padding : paddings) {
+            std::vector<int> multiset = padding;
+            multiset.push_back(i);
+            multiset.push_back(j);
+            std::sort(multiset.begin(), multiset.end());
+            expected.push_back(RankNondecreasing(multiset, buckets));
+          }
+          std::vector<uint64_t> got;
+          keys.ForEach(i, j, [&](uint64_t key) { got.push_back(key); });
+          EXPECT_EQ(got, expected)
+              << "b=" << buckets << " p=" << p << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(Compositions, CountsArePascal) {
   // Number of compositions of n into k positive parts = C(n-1, k-1).
   for (int n = 1; n <= 8; ++n) {
