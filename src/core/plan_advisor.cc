@@ -111,12 +111,11 @@ double CensusCostPerEdge(NodeId nodes, uint64_t edges, uint64_t wedges) {
 }
 
 uint64_t CountOrderedWedges(const Graph& graph) {
-  const OrientedAdjacency adjacency(graph, NodeOrder::ByDegree(graph));
+  const NodeOrder order = NodeOrder::ByDegree(graph);
+  std::vector<uint64_t> out_degree(graph.num_nodes(), 0);
+  for (const Edge& e : graph.edges()) ++out_degree[order.Orient(e).first];
   uint64_t wedges = 0;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    const uint64_t d = adjacency.OutDegree(v);
-    wedges += d * (d - 1) / 2;
-  }
+  for (const uint64_t d : out_degree) wedges += d * (d - 1) / 2;
   return wedges;
 }
 

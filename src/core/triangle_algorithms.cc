@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -11,6 +10,7 @@
 
 #include "graph/intersect.h"
 #include "graph/node_order.h"
+#include "graph/rank_adjacency.h"
 #include "graph/rank_window.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
@@ -131,25 +131,8 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
                                         JobMetrics* job) {
   if (buckets < 1) throw std::invalid_argument("buckets must be >= 1");
   const BucketHasher hasher(buckets, seed);
-  const NodeId n = graph.num_nodes();
-  const NodeOrder order = NodeOrder::ByBucket(n, hasher);
+  const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
   const uint64_t key_space = Binomial(buckets + 2, 3);
-
-  // Ranks are bucket-major: bucket t is the rank window
-  // [bucket_begin[t], bucket_begin[t + 1]). Built once per job, so the
-  // reducers never relabel or re-sort nodes.
-  std::vector<uint32_t> bucket_begin(buckets + 1, 0);
-  std::vector<NodeId> node_of_rank(n);
-  for (NodeId u = 0; u < n; ++u) {
-    ++bucket_begin[hasher.Bucket(u) + 1];
-    node_of_rank[order.Rank(u)] = u;
-  }
-  std::partial_sum(bucket_begin.begin(), bucket_begin.end(),
-                   bucket_begin.begin());
-  // The part of an ascending rank list that falls in bucket t.
-  auto window = [&](std::span<const NodeId> ranks, int t) {
-    return RankWindow(ranks, bucket_begin[t], bucket_begin[t + 1]);
-  };
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
     const Edge oriented = order.Orient(edge);
@@ -174,44 +157,31 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
     CostCounter* cost = context->cost;
     cost->edges_scanned += values.size();
 
-    std::vector<uint64_t> sides;
-    sides.reserve(values.size());
-    for (const auto& [u, v] : values) {
-      sides.push_back(PackPair(order.Rank(u), order.Rank(v)));
-    }
-    std::sort(sides.begin(), sides.end());
-
-    // CSR in rank space: row r lists the successor ranks of source rank
-    // sources[r], ascending.
-    std::vector<uint32_t> sources;
-    std::vector<size_t> offsets;
-    std::vector<NodeId> successors;
-    successors.reserve(sides.size());
-    size_t max_row = 0;
-    for (const uint64_t side : sides) {
-      const auto source = static_cast<uint32_t>(side >> 32);
-      if (sources.empty() || sources.back() != source) {
-        sources.push_back(source);
-        offsets.push_back(successors.size());
-      }
-      successors.push_back(static_cast<NodeId>(side));
-      max_row = std::max(max_row, successors.size() - offsets.back());
-    }
-    offsets.push_back(successors.size());
-    auto row = [&](size_t r) {
-      return std::span<const NodeId>(successors.data() + offsets[r],
-                                     successors.data() + offsets[r + 1]);
+    // Local ranks follow the global order, which is bucket-major, so each
+    // bucket is one window of local ranks: bucket t spans
+    // [start(t), start(t + 1)).
+    const RankedSubgraph local = BuildRankedSubgraph(values, order);
+    const RankAdjacency adjacency(local.num_nodes(), local.edges);
+    const std::vector<NodeId>& node_of = local.local_to_global;
+    auto start = [&](int t) {
+      const auto it = std::partition_point(
+          node_of.begin(), node_of.end(),
+          [&](NodeId u) { return hasher.Bucket(u) < t; });
+      return static_cast<NodeId>(it - node_of.begin());
     };
-    std::vector<NodeId> matches(max_row + kIntersectSlack);
+    const NodeId t0_end = start(t0 + 1);
+    const NodeId t1_begin = start(t1);
+    const NodeId t1_end = start(t1 + 1);
+    const NodeId t2_begin = start(t2);
+    const NodeId t2_end = start(t2 + 1);
+    std::vector<NodeId> matches(adjacency.MaxDegree() + kIntersectSlack);
 
-    // Sources lie in bucket t0 or later, so the t0 rows are a prefix; within
-    // one bucket rank order is id order, so u ascends by id as in the
-    // serial kernel and the emitted stream keeps its order.
-    for (size_t r = 0; r < sources.size() && sources[r] < bucket_begin[t0 + 1];
-         ++r) {
-      const NodeId u = node_of_rank[sources[r]];
-      const auto mids = window(row(r), t1);
-      const auto lasts = window(row(r), t2);
+    // Within one bucket rank order is id order, so u ascends by id as in
+    // the serial kernel and the emitted stream keeps its order.
+    for (NodeId r = 0; r < t0_end; ++r) {
+      const NodeId u = node_of[r];
+      const auto mids = RankWindow(adjacency.Successors(r), t1_begin, t1_end);
+      const auto lasts = RankWindow(adjacency.Successors(r), t2_begin, t2_end);
       // EnumerateTriangles' units: the successors read, and one candidate
       // and one probe per owned wedge (u, v, w) with v before w.
       const uint64_t wedges =
@@ -221,19 +191,17 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
       cost->candidates += wedges;
       cost->index_probes += wedges;
       for (size_t i = 0; i < mids.size(); ++i) {
-        // v's row holds only ranks after v, so the t1 = t2 case needs no
-        // care; trimming u's list to ranks after v just shortens it.
+        // Successor rows hold only ranks after v, so the t1 = t2 case needs
+        // no care; trimming u's list to ranks after v just shortens it.
         const auto closers = t1 == t2 ? mids.subspan(i + 1) : lasts;
         if (closers.empty()) continue;
-        const auto it =
-            std::lower_bound(sources.begin() + r + 1, sources.end(), mids[i]);
-        if (it == sources.end() || *it != mids[i]) continue;
         const size_t count = IntersectInto(
-            closers, window(row(it - sources.begin()), t2), matches.data());
-        const NodeId v = node_of_rank[mids[i]];
+            closers,
+            RankWindow(adjacency.Successors(mids[i]), t2_begin, t2_end),
+            matches.data());
+        const NodeId v = node_of[mids[i]];
         for (size_t k = 0; k < count; ++k) {
-          const std::array<NodeId, 3> assignment = {u, v,
-                                                    node_of_rank[matches[k]]};
+          const std::array<NodeId, 3> assignment = {u, v, node_of[matches[k]]};
           context->EmitInstance(assignment);
         }
       }

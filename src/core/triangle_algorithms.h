@@ -49,11 +49,12 @@ MapReduceMetrics MultiwayJoinTriangles(
 /// reducers and each edge is replicated exactly b times.
 ///
 /// Reducer (t0 <= t1 <= t2) explores only the triangles it owns, u < v < w
-/// with u in bucket t0, v in t1 and w in t2. Ranks are bucket-major, so each
-/// bucket is one contiguous rank window (computed once per job); the reducer
-/// builds a rank-space CSR of its edges, takes u from the t0 window, v from
-/// u's successors in the t1 window, and intersects u's and v's successors in
-/// the t2 window. Its cost is counted in EnumerateTriangles' units (values
+/// with u in bucket t0, v in t1 and w in t2. The reducer builds a
+/// RankAdjacency over its edges in local ranks (BuildRankedSubgraph, graph/
+/// subgraph.h). Ranks are bucket-major, so each bucket is one contiguous
+/// window of local ranks; the reducer takes u from the t0 window, v from
+/// u's successors in the t1 window, and intersects u's and v's successors
+/// in the t2 window. Its cost is counted in EnumerateTriangles' units (values
 /// and successors read, one candidate and one probe per owned wedge), so the
 /// reducers' summed candidates equal the serial kernel's under the same
 /// order. Emission order is that of the serial kernel run on each reducer's

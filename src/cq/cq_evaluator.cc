@@ -263,9 +263,7 @@ void OwnedColourWindows(const std::vector<int>& quota,
 /// node ids are looked up only to emit.
 struct EvalState {
   const ConjunctiveQuery* cq;
-  // The evaluator's rank-space adjacency (see CqEvaluator::offsets_).
-  const size_t* offsets;
-  const NodeId* neighbours;
+  const RankAdjacency* adjacency;
   std::span<const Edge> edges;  // rank pairs, in seed scan order
   const NodeId* node_of_rank;
   const std::vector<PlanStep>* plan;
@@ -287,10 +285,6 @@ struct EvalState {
   std::vector<int> scratch_order;
   std::vector<NodeId> assignment;  // node ids, filled at emission
   uint64_t found = 0;
-
-  std::span<const NodeId> Neighbours(uint32_t r) const {
-    return {neighbours + offsets[r], neighbours + offsets[r + 1]};
-  }
 
   bool AtomsHold(const PlanStep& step) const {
     for (const auto& [a, b] : step.atoms) {
@@ -385,7 +379,7 @@ struct EvalState {
     }
     if (lo >= hi) return;
     std::span<const NodeId> candidates =
-        RankWindow(Neighbours(rank[step.anchor_var]), lo, hi);
+        RankWindow(adjacency->Row(rank[step.anchor_var]), lo, hi);
     if (!step.partners.empty() && !candidates.empty()) {
       // Close every partner subgoal by intersection, shortest window first
       // so each merge costs at most the smallest window, priced as the
@@ -393,7 +387,7 @@ struct EvalState {
       // input.
       windows.assign(1, candidates);
       for (const int u : step.partners) {
-        windows.push_back(RankWindow(Neighbours(rank[u]), lo, hi));
+        windows.push_back(RankWindow(adjacency->Row(rank[u]), lo, hi));
       }
       std::iter_swap(windows.begin(),
                      std::min_element(windows.begin(), windows.end(),
@@ -494,64 +488,16 @@ void Ownership::RequireOwned(std::span<const NodeId> assignment,
   throw std::logic_error(message);
 }
 
-namespace {
-
-/// The edges of `graph` as (lower rank, higher rank) pairs under `order`,
-/// in Graph::edges() order.
-std::vector<Edge> RankEdges(const Graph& graph, const NodeOrder& order) {
-  std::vector<Edge> edges;
-  edges.reserve(graph.num_edges());
-  for (const auto& [u, v] : graph.edges()) {
-    const uint32_t ru = order.Rank(u);
-    const uint32_t rv = order.Rank(v);
-    edges.emplace_back(std::min(ru, rv), std::max(ru, rv));
-  }
-  return edges;
-}
-
-}  // namespace
-
 CqEvaluator::CqEvaluator(const Graph& graph, const NodeOrder& order)
     : CqEvaluator(graph.num_nodes(), RankEdges(graph, order)) {
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    node_of_rank_[order.Rank(u)] = u;
-  }
+  node_of_rank_ = order.NodesByRank();
 }
 
 CqEvaluator::CqEvaluator(NodeId num_nodes, std::vector<Edge> edges)
-    : edges_(std::move(edges)), node_of_rank_(num_nodes) {
+    : edges_(std::move(edges)),
+      adjacency_(num_nodes, edges_),
+      node_of_rank_(num_nodes) {
   std::iota(node_of_rank_.begin(), node_of_rank_.end(), 0u);
-  // Two-pass counting fill. The first pass writes each row unsorted; the
-  // second walks those rows by ascending rank t and appends t to the row of
-  // each neighbour, which leaves every row ascending without a sort.
-  offsets_.assign(num_nodes + 1, 0);
-  for (const auto& [r, s] : edges_) {
-    if (r >= s || s >= num_nodes) {
-      throw std::invalid_argument(
-          "rank-space edge (" + std::to_string(r) + ", " + std::to_string(s) +
-          ") is not an ordered pair of ranks below " +
-          std::to_string(num_nodes));
-    }
-    ++offsets_[r + 1];
-    ++offsets_[s + 1];
-  }
-  for (NodeId r = 0; r < num_nodes; ++r) {
-    max_degree_ = std::max(max_degree_, offsets_[r + 1]);
-    offsets_[r + 1] += offsets_[r];
-  }
-  std::vector<NodeId> unsorted(offsets_[num_nodes]);
-  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [r, s] : edges_) {
-    unsorted[cursor[r]++] = s;
-    unsorted[cursor[s]++] = r;
-  }
-  neighbours_.resize(unsorted.size());
-  std::copy(offsets_.begin(), offsets_.end() - 1, cursor.begin());
-  for (NodeId t = 0; t < num_nodes; ++t) {
-    for (size_t i = offsets_[t]; i < offsets_[t + 1]; ++i) {
-      neighbours_[cursor[unsorted[i]]++] = t;
-    }
-  }
 }
 
 uint64_t CqEvaluator::Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
@@ -579,7 +525,7 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
   // sanitizer sees. An intersection result is at most its shorter input,
   // itself at most the graph's max degree, plus the kernels' slack.
   std::vector<std::vector<NodeId>> buffers;
-  const size_t buffer_size = max_degree_ + kIntersectSlack;
+  const size_t buffer_size = adjacency_.MaxDegree() + kIntersectSlack;
   uint64_t total = 0;
   for (const ConjunctiveQuery& cq : cqs) {
     if (ownership != nullptr && quota_total != cq.num_vars()) {
@@ -592,8 +538,7 @@ uint64_t CqEvaluator::EvaluateAll(std::span<const ConjunctiveQuery> cqs,
     const std::vector<PlanStep> plan = BuildPlan(cq, atoms.entailed);
     EvalState state;
     state.cq = &cq;
-    state.offsets = offsets_.data();
-    state.neighbours = neighbours_.data();
+    state.adjacency = &adjacency_;
     state.edges = edges_;
     state.node_of_rank = node_of_rank_.data();
     state.plan = &plan;

@@ -9,6 +9,7 @@
 #include "cq/conjunctive_query.h"
 #include "graph/graph.h"
 #include "graph/node_order.h"
+#include "graph/rank_adjacency.h"
 #include "mapreduce/instance_sink.h"
 #include "util/cost_model.h"
 #include "util/hashing.h"
@@ -57,13 +58,13 @@ struct Ownership {
 /// is the multiway-join-plus-selection of Section 3 run at a reducer — or,
 /// standalone, a complete serial algorithm for enumerating instances.
 ///
-/// The join runs in rank space. The evaluator keeps one adjacency indexed
-/// by node rank, each row listing the neighbours' ranks ascending, so a
-/// node's predecessors are the prefix of its row below its own rank and its
+/// The join runs in rank space, over one RankAdjacency (graph/
+/// rank_adjacency.h): row r lists the neighbour ranks of the node ranked r,
+/// ascending, so its predecessors are the prefix below r and its
 /// successors the suffix above it. A reducer builds it straight from the
 /// edges shipped to it (BuildRankedSubgraph, graph/subgraph.h); the Graph
-/// constructor maps the graph's edges to rank pairs and takes the same
-/// build. The join is a backtracking expansion: the plan seeds on the
+/// constructor maps the graph's edges to rank pairs (RankEdges) and takes
+/// the same build. The join is a backtracking expansion: the plan seeds on the
 /// subgoal whose endpoints have the largest summed pattern degree and then
 /// binds, at each step, the variable with the most bound pattern
 /// neighbours, so cycles close as early as the pattern allows. A step draws
@@ -132,13 +133,11 @@ class CqEvaluator {
                        const Ownership* ownership = nullptr) const;
 
  private:
-  // Rank-space adjacency: the neighbours of the node ranked r are the
-  // ranks neighbours_[offsets_[r] .. offsets_[r + 1]), ascending.
-  std::vector<size_t> offsets_;
-  std::vector<NodeId> neighbours_;
-  size_t max_degree_ = 0;
   // Each edge once as (lower rank, higher rank), in edge-seed scan order.
   std::vector<Edge> edges_;
+  // The rows anchored steps window and intersect, built from edges_. Its
+  // MaxDegree sizes the intersection buffers.
+  RankAdjacency adjacency_;
   // The node id emitted for each rank.
   std::vector<NodeId> node_of_rank_;
 };

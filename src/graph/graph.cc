@@ -7,14 +7,10 @@
 
 namespace smr {
 
-bool Graph::HasEdge(NodeId u, NodeId v) const {
-  if (u == v) return false;
-  if (Degree(u) > Degree(v)) std::swap(u, v);
-  return ContainsSorted(Neighbors(u), v);
-}
+namespace {
 
-Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
-    : num_nodes_(num_nodes) {
+// The edges as (smaller id, larger id), sorted, without repeats.
+std::vector<Edge> CanonicalEdges(NodeId num_nodes, std::vector<Edge> edges) {
   for (Edge& e : edges) {
     if (e.first == e.second) {
       throw std::invalid_argument("self-loop in edge list");
@@ -26,28 +22,19 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  edges_ = std::move(edges);
-
-  std::vector<size_t> degree(num_nodes_ + 1, 0);
-  for (const Edge& e : edges_) {
-    ++degree[e.first];
-    ++degree[e.second];
-  }
-  offsets_.assign(num_nodes_ + 2, 0);
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    offsets_[u + 1] = offsets_[u] + degree[u];
-    max_degree_ = std::max(max_degree_, degree[u]);
-  }
-  adjacency_.resize(2 * edges_.size());
-  std::vector<size_t> cursor(offsets_.begin(), offsets_.begin() + num_nodes_);
-  for (const Edge& e : edges_) {
-    adjacency_[cursor[e.first]++] = e.second;
-    adjacency_[cursor[e.second]++] = e.first;
-  }
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    std::sort(adjacency_.begin() + static_cast<long>(offsets_[u]),
-              adjacency_.begin() + static_cast<long>(offsets_[u + 1]));
-  }
+  return edges;
 }
+
+}  // namespace
+
+bool Graph::HasEdge(NodeId u, NodeId v) const {
+  if (u == v) return false;
+  if (Degree(u) > Degree(v)) std::swap(u, v);
+  return ContainsSorted(Neighbors(u), v);
+}
+
+Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
+    : edges_(CanonicalEdges(num_nodes, std::move(edges))),
+      adjacency_(num_nodes, edges_) {}
 
 }  // namespace smr

@@ -1,24 +1,19 @@
 #ifndef SMR_GRAPH_GRAPH_H_
 #define SMR_GRAPH_GRAPH_H_
 
-#include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
+
+#include "graph/rank_adjacency.h"
 
 namespace smr {
 
-/// A node of the data graph.
-using NodeId = uint32_t;
-
-/// An undirected edge, stored canonically with first < second (by node id).
-using Edge = std::pair<NodeId, NodeId>;
-
 /// Immutable undirected simple graph: the paper's *data graph* G with n
-/// nodes and m edges. Provides CSR adjacency, an edge-existence test over
-/// the sorted adjacency (the edge index assumed throughout Sections 6-7 of
-/// the paper; O(log min-degree) per probe with no extra storage), and
-/// degree queries.
+/// nodes and m edges. Provides sorted adjacency lists, an edge-existence
+/// test over them (the edge index assumed throughout Sections 6-7 of the
+/// paper; O(log min-degree) per probe with no extra storage), and degree
+/// queries. The lists are a RankAdjacency over the canonical edges under
+/// the identity order, where a node's rank is its id.
 ///
 /// Self-loops are rejected; duplicate edges are collapsed.
 class Graph {
@@ -31,7 +26,7 @@ class Graph {
   Graph(Graph&&) = default;
   Graph& operator=(Graph&&) = default;
 
-  NodeId num_nodes() const { return num_nodes_; }
+  NodeId num_nodes() const { return adjacency_.num_nodes(); }
   size_t num_edges() const { return edges_.size(); }
 
   /// Canonical (min,max) edge list, sorted ascending.
@@ -39,29 +34,25 @@ class Graph {
 
   /// Neighbors of u, ascending by node id.
   std::span<const NodeId> Neighbors(NodeId u) const {
-    return {adjacency_.data() + offsets_[u],
-            adjacency_.data() + offsets_[u + 1]};
+    return adjacency_.Row(u);
   }
 
-  size_t Degree(NodeId u) const { return offsets_[u + 1] - offsets_[u]; }
+  size_t Degree(NodeId u) const { return adjacency_.Degree(u); }
 
-  size_t MaxDegree() const { return max_degree_; }
+  size_t MaxDegree() const { return adjacency_.MaxDegree(); }
 
-  /// Adjacency test over the smaller-degree endpoint's sorted CSR neighbor
+  /// Adjacency test over the smaller-degree endpoint's sorted neighbor
   /// list, delegated to the runtime-dispatched membership kernel
   /// (graph/intersect.h): the SIMD paths sweep short lists a whole vector
   /// block per compare and narrow long ones with a branchless binary search;
   /// the scalar fallback is the forward-scan / cmov-search hybrid this
-  /// method used to inline. Probing the CSR we already store (rather than a
+  /// method used to inline. Probing the lists we already store (rather than a
   /// hashed edge set) keeps the index allocation-free.
   bool HasEdge(NodeId u, NodeId v) const;
 
  private:
-  NodeId num_nodes_;
   std::vector<Edge> edges_;
-  std::vector<size_t> offsets_;
-  std::vector<NodeId> adjacency_;
-  size_t max_degree_ = 0;
+  RankAdjacency adjacency_;
 };
 
 }  // namespace smr

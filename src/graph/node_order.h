@@ -19,6 +19,9 @@ namespace smr {
 ///  * bucket-then-id (Section 2.3): node u is ranked by (h(u), u), which
 ///    makes bucket lists of instances nondecreasing and lets most reducers
 ///    be skipped (Theorem 4.2).
+///
+/// A NodeOrder is only the rank table. The adjacency the kernels expand
+/// under it is a RankAdjacency over RankEdges(graph, order).
 class NodeOrder {
  public:
   /// Identity order: u < v iff u's id < v's id.
@@ -27,26 +30,17 @@ class NodeOrder {
   /// Nondecreasing degree, ties broken by node id.
   static NodeOrder ByDegree(const Graph& graph);
 
-  /// Degeneracy (k-core peeling) order: repeatedly remove a minimum-degree
-  /// node (ties by id) from the remaining graph; rank = removal position.
-  /// Every node's forward-star under this order has at most `degeneracy(G)`
-  /// successors — for real-world sparse graphs far below the max degree the
-  /// degree order can leave at the tail — so the successor lists the serial
-  /// kernels intersect stay short and cache-resident. Implemented with a
-  /// lazy-deletion min-heap keyed (remaining degree, id), O(m log n), so the
-  /// tie-break is exactly by id and the order is fully deterministic.
-  static NodeOrder ByDegeneracy(const Graph& graph);
-
   /// Bucket-then-id order of Section 2.3 built from `hasher`.
   static NodeOrder ByBucket(NodeId num_nodes, const BucketHasher& hasher);
-
-  /// The reverse order (u < v here iff v < u there). Building an
-  /// OrientedAdjacency over the reversed order yields predecessor lists.
-  NodeOrder Reversed() const;
 
   /// Rank (position) of node u in the order; ranks are a permutation of
   /// [0, num_nodes).
   uint32_t Rank(NodeId u) const { return rank_[u]; }
+
+  /// The inverse of Rank: entry r is the node ranked r. Kernels that work
+  /// in rank space (graph/rank_adjacency.h) map ranks back to node ids
+  /// through it to emit.
+  std::vector<NodeId> NodesByRank() const;
 
   bool Less(NodeId u, NodeId v) const { return rank_[u] < rank_[v]; }
 
@@ -63,61 +57,6 @@ class NodeOrder {
   explicit NodeOrder(std::vector<uint32_t> rank) : rank_(std::move(rank)) {}
 
   std::vector<uint32_t> rank_;
-};
-
-/// Core number (largest k such that the node is in a k-core) of every node;
-/// the maximum entry is the graph's degeneracy. Computed by the same peel
-/// that ByDegeneracy ranks by.
-std::vector<uint32_t> CoreNumbers(const Graph& graph);
-
-/// Forward-star adjacency under a node order: for each node u, the neighbors
-/// v with u < v, sorted ascending by rank. This is the Γ_<(v) structure of
-/// Lemma 7.1 and the workhorse of all the serial kernels.
-class OrientedAdjacency {
- public:
-  OrientedAdjacency(const Graph& graph, const NodeOrder& order);
-
-  std::span<const NodeId> Successors(NodeId u) const {
-    return {nodes_.data() + offsets_[u], nodes_.data() + offsets_[u + 1]};
-  }
-
-  size_t OutDegree(NodeId u) const { return offsets_[u + 1] - offsets_[u]; }
-
- private:
-  std::vector<size_t> offsets_;
-  std::vector<NodeId> nodes_;
-};
-
-/// The same forward-star structure mapped into *rank space*: indexed by a
-/// node's rank, listing successor ranks ascending. Because ranks are ordered
-/// by plain integer comparison, two successor lists can be intersected by
-/// the vectorized sorted-set kernels (graph/intersect.h) directly — the
-/// id-space lists of OrientedAdjacency are sorted by rank, an order SIMD
-/// value compares cannot see. NodeOfRank maps results back to node ids for
-/// emission.
-class RankedAdjacency {
- public:
-  RankedAdjacency(const Graph& graph, const NodeOrder& order);
-
-  /// Successor ranks of the node ranked `rank`, ascending.
-  std::span<const NodeId> SuccessorRanks(uint32_t rank) const {
-    return {ranks_.data() + offsets_[rank], ranks_.data() + offsets_[rank + 1]};
-  }
-
-  size_t OutDegree(uint32_t rank) const {
-    return offsets_[rank + 1] - offsets_[rank];
-  }
-
-  NodeId NodeOfRank(uint32_t rank) const { return node_of_rank_[rank]; }
-
-  /// Largest out-degree — callers size intersection scratch from this.
-  size_t MaxOutDegree() const { return max_out_degree_; }
-
- private:
-  std::vector<size_t> offsets_;
-  std::vector<NodeId> ranks_;
-  std::vector<NodeId> node_of_rank_;
-  size_t max_out_degree_ = 0;
 };
 
 }  // namespace smr

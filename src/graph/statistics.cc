@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/intersect.h"
 #include "graph/node_order.h"
+#include "graph/rank_adjacency.h"
 
 namespace smr {
 
@@ -75,19 +77,20 @@ GraphStatistics ComputeStatistics(const Graph& graph) {
   }
 
   // Clustering: 3T / number of 2-paths (pairs through a midpoint). The
-  // triangle count is computed locally with the standard forward-adjacency
-  // kernel so this module does not depend on the serial library.
+  // triangle count is computed locally, by intersecting successor lists
+  // under the degree order, so this module does not depend on the serial
+  // library.
   uint64_t wedges = 0;
   for (size_t d : degrees) wedges += d * (d - 1) / 2;
   if (wedges > 0) {
-    const OrientedAdjacency oriented(graph, NodeOrder::ByDegree(graph));
+    const RankAdjacency ranked(
+        graph.num_nodes(), RankEdges(graph, NodeOrder::ByDegree(graph)));
     uint64_t triangles = 0;
-    for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-      const auto successors = oriented.Successors(u);
+    for (NodeId r = 0; r < graph.num_nodes(); ++r) {
+      const auto successors = ranked.Successors(r);
       for (size_t i = 0; i < successors.size(); ++i) {
-        for (size_t j = i + 1; j < successors.size(); ++j) {
-          if (graph.HasEdge(successors[i], successors[j])) ++triangles;
-        }
+        triangles += IntersectCount(successors.subspan(i + 1),
+                                    ranked.Successors(successors[i]));
       }
     }
     stats.clustering_coefficient =

@@ -23,10 +23,11 @@ struct Subgraph {
 /// coincides with identity ordering of global ids.
 Subgraph BuildSubgraph(std::span<const Edge> edges);
 
-/// A reducer's subgraph in the rank space of a global node order, the
-/// input of CqEvaluator's rank-space constructor. Local node i is the
-/// endpoint with the i-th smallest global rank, so local ids are the local
-/// order's ranks.
+/// A reducer's subgraph in the rank space of a global node order. Local
+/// node i is the endpoint with the i-th smallest global rank, so local ids
+/// are the local order's ranks and `edges` is a RankAdjacency's input
+/// (graph/rank_adjacency.h): CqEvaluator's rank-space constructor builds
+/// one from it, and so does the ordered-bucket triangle reducer.
 struct RankedSubgraph {
   /// Local node i is global node local_to_global[i].
   std::vector<NodeId> local_to_global;

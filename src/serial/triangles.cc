@@ -1,22 +1,25 @@
 #include "serial/triangles.h"
 
 #include <array>
+#include <vector>
 
 #include "graph/intersect.h"
+#include "graph/rank_adjacency.h"
 #include "util/arena.h"
 
 namespace smr {
 
 uint64_t EnumerateTriangles(const Graph& graph, const NodeOrder& order,
                             InstanceSink* sink, CostCounter* cost) {
-  const RankedAdjacency ranked(graph, order);
+  const RankAdjacency ranked(graph.num_nodes(), RankEdges(graph, order));
+  const std::vector<NodeId> node_of_rank = order.NodesByRank();
   Arena arena;
   NodeId* const matches =
-      arena.AllocateArray<NodeId>(ranked.MaxOutDegree() + kIntersectSlack);
+      arena.AllocateArray<NodeId>(ranked.MaxDegree() + kIntersectSlack);
   uint64_t found = 0;
   const NodeId n = graph.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
-    const auto succ = ranked.SuccessorRanks(order.Rank(u));
+    const auto succ = ranked.Successors(order.Rank(u));
     const size_t deg = succ.size();
     if (cost != nullptr) cost->edges_scanned += deg;
     if (deg < 2) continue;
@@ -28,15 +31,15 @@ uint64_t EnumerateTriangles(const Graph& graph, const NodeOrder& order,
       // ranks. Both spans ascend, so the matches come out in ascending j —
       // the same order the per-pair probe loop visited them in.
       const size_t count = IntersectInto(
-          succ.subspan(i + 1), ranked.SuccessorRanks(succ[i]), matches);
+          succ.subspan(i + 1), ranked.Successors(succ[i]), matches);
       matched += count;
       if (sink != nullptr) {
-        const NodeId v = ranked.NodeOfRank(succ[i]);
+        const NodeId v = node_of_rank[succ[i]];
         for (size_t k = 0; k < count; ++k) {
           // Successors are sorted by rank, so (u, v, w) is the order-sorted
           // triangle.
           const std::array<NodeId, 3> assignment = {u, v,
-                                                    ranked.NodeOfRank(matches[k])};
+                                                    node_of_rank[matches[k]]};
           sink->Emit(assignment);
         }
       }

@@ -226,6 +226,17 @@ TEST(CqEvaluator, WorksUnderBucketOrder) {
             GroundTruthKeys(SampleGraph::Square(), g));
 }
 
+TEST(CqEvaluator, RejectsEdgesThatAreNotOrderedRankPairs) {
+  const NodeId n = 4;
+  for (const Edge& bad : {Edge(2, 2), Edge(3, 1), Edge(1, n)}) {
+    EXPECT_THROW(CqEvaluator(n, {{0, 1}, bad}), std::invalid_argument);
+  }
+  const CqEvaluator empty(0, {});
+  EXPECT_EQ(empty.EvaluateAll(CqsForSample(SampleGraph::Triangle()), nullptr,
+                              nullptr),
+            0u);
+}
+
 TEST(CqEvaluator, SingleCqRespectsCondition) {
   // The single-order CQ W<X<Y<Z for the square finds only instances whose
   // induced order matches.

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +9,7 @@
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/node_order.h"
+#include "graph/rank_adjacency.h"
 #include "graph/sample_graph.h"
 #include "graph/subgraph.h"
 
@@ -46,11 +50,16 @@ TEST(Graph, NeighborsSorted) {
   EXPECT_EQ(nbrs[2], 4u);
 }
 
-TEST(NodeOrder, IdentityAndReversed) {
+TEST(NodeOrder, IdentityAndNodesByRank) {
   const NodeOrder order = NodeOrder::Identity(5);
   EXPECT_TRUE(order.Less(0, 4));
-  const NodeOrder reversed = order.Reversed();
-  EXPECT_TRUE(reversed.Less(4, 0));
+  EXPECT_EQ(order.NodesByRank(), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  const Graph g(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}});
+  const NodeOrder by_degree = NodeOrder::ByDegree(g);
+  const std::vector<NodeId> nodes = by_degree.NodesByRank();
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(nodes[by_degree.Rank(u)], u);
+  }
 }
 
 TEST(NodeOrder, ByDegreeSortsAscending) {
@@ -74,15 +83,49 @@ TEST(NodeOrder, ByBucketGroupsBuckets) {
   }
 }
 
-TEST(OrientedAdjacency, SuccessorsRespectOrder) {
+TEST(RankAdjacency, SuccessorsRespectOrder) {
   Graph g(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}});
-  const NodeOrder order = NodeOrder::Identity(4);
-  const OrientedAdjacency oriented(g, order);
-  EXPECT_EQ(oriented.OutDegree(0), 3u);
-  EXPECT_EQ(oriented.OutDegree(3), 0u);
+  const RankAdjacency ranked(4, RankEdges(g, NodeOrder::Identity(4)));
+  EXPECT_EQ(ranked.Successors(0).size(), 3u);
+  EXPECT_TRUE(ranked.Successors(3).empty());
   size_t total = 0;
-  for (NodeId u = 0; u < 4; ++u) total += oriented.OutDegree(u);
+  for (NodeId r = 0; r < 4; ++r) total += ranked.Successors(r).size();
   EXPECT_EQ(total, g.num_edges());
+}
+
+TEST(RankAdjacency, AgreesWithGraphNeighbors) {
+  const Graph g = ErdosRenyi(300, 2400, 77);
+  const BucketHasher hasher(5, 3);
+  for (const NodeOrder& order :
+       {NodeOrder::ByDegree(g), NodeOrder::ByBucket(g.num_nodes(), hasher),
+        NodeOrder::Identity(g.num_nodes())}) {
+    const RankAdjacency ranked(g.num_nodes(), RankEdges(g, order));
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const uint32_t r = order.Rank(u);
+      std::vector<NodeId> expected;
+      for (const NodeId v : g.Neighbors(u)) expected.push_back(order.Rank(v));
+      std::sort(expected.begin(), expected.end());
+      const auto row = ranked.Row(r);
+      EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), expected);
+      const auto above =
+          std::upper_bound(expected.begin(), expected.end(), r);
+      const auto successors = ranked.Successors(r);
+      EXPECT_EQ(std::vector<NodeId>(successors.begin(), successors.end()),
+                std::vector<NodeId>(above, expected.end()));
+    }
+    EXPECT_EQ(ranked.MaxDegree(), g.MaxDegree());
+  }
+}
+
+TEST(RankAdjacency, RejectsEdgesThatAreNotOrderedRankPairs) {
+  const NodeId n = 4;
+  for (const Edge& bad : {Edge(2, 2), Edge(3, 1), Edge(1, n)}) {
+    const std::vector<Edge> edges = {{0, 1}, bad};
+    EXPECT_THROW(RankAdjacency(n, edges), std::invalid_argument);
+  }
+  const RankAdjacency empty(0, {});
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  EXPECT_EQ(empty.MaxDegree(), 0u);
 }
 
 TEST(Subgraph, RelabelsDensely) {

@@ -93,15 +93,6 @@ TEST(Hypercube, Theorem41EqualShares) {
   }
 }
 
-TEST(NodeOrderProperties, ReversedIsInvolution) {
-  const Graph g = ErdosRenyi(30, 60, 1);
-  const NodeOrder order = NodeOrder::ByDegree(g);
-  const NodeOrder twice = order.Reversed().Reversed();
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(order.Rank(u), twice.Rank(u));
-  }
-}
-
 TEST(NodeOrderProperties, RanksAreAPermutation) {
   const BucketHasher hasher(7, 3);
   const NodeOrder order = NodeOrder::ByBucket(50, hasher);

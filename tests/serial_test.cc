@@ -1,7 +1,11 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "graph/node_order.h"
+#include "graph/rank_adjacency.h"
 #include "serial/bounded_degree.h"
 #include "serial/convertible.h"
 #include "serial/decomposition.h"
@@ -112,6 +116,41 @@ TEST(Triangles, WorksUnderAnyOrder) {
             expected);
 }
 
+TEST(Triangles, CountsMatchAcrossOrders) {
+  for (uint64_t seed : {3u, 17u, 99u}) {
+    const Graph g = ErdosRenyi(500, 4000, seed);
+    const uint64_t by_degree =
+        EnumerateTriangles(g, NodeOrder::ByDegree(g), nullptr, nullptr);
+    const BucketHasher hasher(6, seed);
+    EXPECT_EQ(EnumerateTriangles(g, NodeOrder::ByBucket(g.num_nodes(), hasher),
+                                 nullptr, nullptr),
+              by_degree);
+    EXPECT_EQ(EnumerateTriangles(g, NodeOrder::Identity(g.num_nodes()),
+                                 nullptr, nullptr),
+              by_degree);
+    EXPECT_EQ(by_degree, CountTriangles(g));
+  }
+}
+
+TEST(Triangles, SetsMatchAcrossOrders) {
+  // Same triangles as sets of nodes, not just the same count.
+  const Graph g = ErdosRenyi(200, 1200, 23);
+  auto normalized = [&](const NodeOrder& order) {
+    CollectingSink sink;
+    EnumerateTriangles(g, order, &sink, nullptr);
+    std::vector<std::vector<NodeId>> triangles = sink.assignments();
+    for (auto& t : triangles) std::sort(t.begin(), t.end());
+    std::sort(triangles.begin(), triangles.end());
+    return triangles;
+  };
+  const std::vector<std::vector<NodeId>> by_degree =
+      normalized(NodeOrder::ByDegree(g));
+  EXPECT_FALSE(by_degree.empty());
+  EXPECT_EQ(normalized(NodeOrder::ByBucket(g.num_nodes(), BucketHasher(6, 1))),
+            by_degree);
+  EXPECT_EQ(normalized(NodeOrder::Identity(g.num_nodes())), by_degree);
+}
+
 TEST(Triangles, CostIsOrderM32WithDegreeOrder) {
   // On a star graph the identity order examines C(d,2) pairs at the hub,
   // while the degree order examines none from leaves and the hub is last.
@@ -138,10 +177,10 @@ TEST(TwoPaths, CountOnStar) {
 TEST(TwoPaths, TotalEqualsSumOverMidpoints) {
   const Graph g = ErdosRenyi(50, 150, 4);
   const NodeOrder order = NodeOrder::ByDegree(g);
-  const OrientedAdjacency oriented(g, order);
+  const RankAdjacency ranked(g.num_nodes(), RankEdges(g, order));
   uint64_t expected = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const uint64_t d = oriented.OutDegree(v);
+  for (NodeId r = 0; r < g.num_nodes(); ++r) {
+    const uint64_t d = ranked.Successors(r).size();
     expected += d * (d - 1) / 2;
   }
   EXPECT_EQ(CountProperlyOrderedTwoPaths(g), expected);
