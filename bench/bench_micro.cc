@@ -135,15 +135,18 @@ BENCHMARK(BM_GraphConstruction);
 /// that scattering and grouping 4M key-value pairs dominates. Arg 0 is the
 /// thread count (0 = one per hardware context, at least 2, so the parallel
 /// pipeline is what gets measured even on one core); arg 1 the partition
-/// count (1 = one global partition, 0 = auto). The keys are dense in a
-/// declared 2^16 key space, so every partition takes the counting scatter.
-/// P = 1 at 2+ threads shows the cost of grouping and reducing one
-/// partition on one worker; the threads = 1 rows time the serial round.
+/// count (1 = one global partition, 0 = auto); arg 2 the log2 of the
+/// declared key space. At 2^16 the keys are dense, so every partition
+/// takes the per-key counting scatter. At 2^40 every partition is sparse
+/// (4M keys over 2^40, like the two-round join's u * n + w) and takes the
+/// binned scatter plus in-bin sorts. P = 1 at 2+ threads shows the cost of
+/// grouping and reducing one partition on one worker; the threads = 1 rows
+/// time the serial round.
 void BM_EngineShuffle(benchmark::State& state) {
   const size_t n = 1 << 20;
   std::vector<int> inputs(n);
   for (size_t i = 0; i < n; ++i) inputs[i] = static_cast<int>(i);
-  const uint64_t key_space = 1 << 16;
+  const uint64_t key_space = uint64_t{1} << state.range(2);
   auto map_fn = [key_space](const int& value, Emitter<int>* out) {
     for (int e = 0; e < 4; ++e) {
       out->Emit(SplitMix64(static_cast<uint64_t>(value) * 4 + e) % key_space,
@@ -170,11 +173,13 @@ void BM_EngineShuffle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineShuffle)
-    ->ArgNames({"threads", "partitions"})
-    ->Args({1, 1})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({0, 0});
+    ->ArgNames({"threads", "partitions", "key_bits"})
+    ->Args({1, 1, 16})
+    ->Args({1, 0, 16})
+    ->Args({0, 1, 16})
+    ->Args({0, 0, 16})
+    ->Args({1, 0, 40})
+    ->Args({0, 0, 40});
 
 /// Latency of waking the persistent pool for one parallel phase (the
 /// per-phase overhead a multi-round job pays after its first phase

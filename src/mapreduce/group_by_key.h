@@ -2,7 +2,9 @@
 #define SMR_MAPREDUCE_GROUP_BY_KEY_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -17,42 +19,82 @@ namespace engine_internal {
 /// store's runs and resident tails (SpillChannel in mapreduce/spill.h), so
 /// a budgeted round groups at the same per-pair cost as a resident one.
 ///
-/// The engine's strategies keep their reducer ranks *dense* in a declared
-/// key_space, which makes each partition's key range a small contiguous
-/// window — exactly the precondition for O(n) counting-sort grouping. A
-/// partition is grouped by a counting scatter in three scans of its
+/// A partition is grouped by a counting scatter in three scans of its
 /// per-worker buckets (all sequential and branch-cheap):
 ///
-///   1. find [lo, hi], which decides counting vs the sort fallback and
-///      sizes the histogram;
-///   2. fill a histogram of key frequencies over [lo, hi], then turn it
-///      into each key's start offset by an in-place prefix sum;
-///   3. scatter every pair to its key's next slot, visiting buckets in
+///   1. find [lo, hi], which sizes the histogram;
+///   2. fill a histogram of bin frequencies over [lo, hi], then turn it
+///      into each bin's start offset by an in-place prefix sum;
+///   3. scatter every pair to its bin's next slot, visiting buckets in
 ///      worker order.
 ///
-/// The scatter is stable by construction — workers are visited in
-/// ascending order and each bucket in stored order, so equal keys land in
-/// exactly the order a worker-order concatenation + stable_sort would
-/// produce. Keys come out ascending because offsets are assigned in key
-/// order. The choice of grouping therefore never changes results, only
-/// host cost.
+/// The engine's strategies keep their reducer ranks *dense* in a declared
+/// key_space, which makes each partition's key range a small contiguous
+/// window: when spread = hi - lo < kAutoSparsityCap x pairs, every key
+/// gets its own bin and the scatter alone groups the partition in O(n).
 ///
-/// Sparse partitions (range more than kAutoSparsityCap x the pair count —
-/// stray keys clamped into the last partition can stretch the range
-/// arbitrarily) fall back to the concatenate + stable_sort path, as do
-/// partitions too large for the 32-bit histogram counters and Value types
-/// that cannot be default-constructed into the scatter buffer.
+/// Sparse partitions (a key space like the two-round join's u * n + w, or
+/// stray keys clamped into the last partition) use a *binned* scatter
+/// instead: bin = (key - lo) >> shift, with the smallest shift that keeps
+/// the bin count at most min(kAutoSparsityCap x pairs, kMaxSparseBins), and
+/// then each bin is sorted by key — a stable insertion sort for bins of at
+/// most kInsertionSortMax pairs, std::stable_sort for larger ones (one
+/// stray key far above the rest puts them all in bin 0, which then costs
+/// what a whole-partition stable_sort did).
+///
+/// Both scatters are stable by construction — workers are visited in
+/// ascending order and each bucket in stored order — and the in-bin sorts
+/// are stable, so equal keys land in exactly the order a worker-order
+/// concatenation + stable_sort would produce. Keys come out ascending
+/// because bins are ordered by key. The choice of grouping therefore never
+/// changes results, only host cost. Only partitions too large for the
+/// 32-bit histogram counters and Value types that cannot be
+/// default-constructed into the scatter buffer take the plain concatenate
+/// + stable_sort path.
 
-/// Counting grouping engages when range <= kAutoSparsityCap x pairs
-/// (i.e. pairs >= range / 4).
+/// Per-key counting engages when spread < kAutoSparsityCap x pairs
+/// (i.e. pairs > spread / 4).
 inline constexpr uint64_t kAutoSparsityCap = 4;
+
+/// Bin-count cap of the sparse (binned) scatter: a 2^16-entry histogram of
+/// 32-bit counters is 256 KiB, which stays in L2. Fewer, wider bins leave
+/// more pairs per bin to sort; more bins cost cache misses in the scatter.
+inline constexpr uint64_t kMaxSparseBins = uint64_t{1} << 16;
+
+/// Bins of at most this many pairs are sorted by insertion, larger ones by
+/// std::stable_sort. It also bounds insertion sort's worst case, a bin
+/// emitted in descending key order.
+inline constexpr size_t kInsertionSortMax = 32;
+
+/// Sorts [first, last), which holds at least two pairs, by key, keeping the
+/// order of equal keys.
+template <typename Pair>
+void StableSortBin(Pair* first, Pair* last) {
+  if (last - first > static_cast<std::ptrdiff_t>(kInsertionSortMax)) {
+    std::stable_sort(first, last, [](const Pair& a, const Pair& b) {
+      return a.first < b.first;
+    });
+    return;
+  }
+  for (Pair* i = first + 1; i < last; ++i) {
+    if ((i - 1)->first <= i->first) continue;
+    Pair moving = std::move(*i);
+    Pair* j = i;
+    do {
+      *j = std::move(*(j - 1));
+      --j;
+    } while (j > first && moving.first < (j - 1)->first);
+    *j = std::move(moving);
+  }
+}
 
 /// Groups one partition's per-worker buckets (in worker order — the serial
 /// emission order of the partition's key range) into `*out`: ascending key,
 /// emission order within a key. `pair_count` must equal the buckets' total
 /// size. `counts` is reusable scratch for the histogram (kept allocated
 /// across partitions by the reduce workers). Buckets are moved-from.
-/// Returns true if the counting scatter ran, false for the sort path.
+/// Returns true if the per-key counting scatter ran, false if the binned
+/// scatter or the sort path did.
 template <typename Value>
 bool GroupByKey(
     std::span<std::vector<std::pair<uint64_t, Value>>* const> buckets,
@@ -63,11 +105,10 @@ bool GroupByKey(
   out->clear();
   if (pair_count == 0) return false;
 
-  bool use_counting = false;
-  uint64_t lo = std::numeric_limits<uint64_t>::max();
-  uint64_t hi = 0;
   if constexpr (std::is_default_constructible_v<Value>) {
     if (pair_count <= std::numeric_limits<uint32_t>::max()) {
+      uint64_t lo = std::numeric_limits<uint64_t>::max();
+      uint64_t hi = 0;
       for (const auto* bucket : buckets) {
         for (const Pair& pair : *bucket) {
           lo = std::min(lo, pair.first);
@@ -77,41 +118,51 @@ bool GroupByKey(
       // spread = range - 1, which cannot overflow even for lo=0,
       // hi=UINT64_MAX (where range itself would).
       const uint64_t spread = hi - lo;
-      use_counting =
-          spread < kAutoSparsityCap * static_cast<uint64_t>(pair_count);
+      const uint64_t dense_bins =
+          kAutoSparsityCap * static_cast<uint64_t>(pair_count);
+      const bool per_key = spread < dense_bins;
+      unsigned shift = 0;
+      if (!per_key) {
+        const uint64_t max_bins = std::min(dense_bins, kMaxSparseBins);
+        while ((spread >> shift) >= max_bins) ++shift;
+      }
+      const size_t bins = static_cast<size_t>(spread >> shift) + 1;
+      // counts[b + 1] = size of bin b; the shifted slot makes the in-place
+      // prefix sum below yield start offsets directly.
+      counts->assign(bins + 1, 0);
+      for (const auto* bucket : buckets) {
+        for (const Pair& pair : *bucket) {
+          ++(*counts)[((pair.first - lo) >> shift) + 1];
+        }
+      }
+      for (size_t i = 1; i <= bins; ++i) (*counts)[i] += (*counts)[i - 1];
+      out->resize(pair_count);
+      for (auto* bucket : buckets) {
+        for (Pair& pair : *bucket) {
+          (*out)[(*counts)[(pair.first - lo) >> shift]++] = std::move(pair);
+        }
+      }
+      if (per_key) return true;
+      // After the scatter, counts[b] is bin b's end offset.
+      Pair* const data = out->data();
+      uint32_t begin = 0;
+      for (size_t b = 0; b < bins; ++b) {
+        const uint32_t end = (*counts)[b];
+        if (end - begin > 1) StableSortBin(data + begin, data + end);
+        begin = end;
+      }
+      return false;
     }
   }
 
-  if (!use_counting) {
-    out->reserve(pair_count);
-    for (auto* bucket : buckets) {
-      std::move(bucket->begin(), bucket->end(), std::back_inserter(*out));
-    }
-    std::stable_sort(
-        out->begin(), out->end(),
-        [](const Pair& a, const Pair& b) { return a.first < b.first; });
-    return false;
+  out->reserve(pair_count);
+  for (auto* bucket : buckets) {
+    std::move(bucket->begin(), bucket->end(), std::back_inserter(*out));
   }
-
-  if constexpr (std::is_default_constructible_v<Value>) {
-    const size_t range = static_cast<size_t>(hi - lo) + 1;
-    // counts[k - lo + 1] = multiplicity of key k; the shifted slot makes
-    // the in-place prefix sum below yield start offsets directly.
-    counts->assign(range + 1, 0);
-    for (const auto* bucket : buckets) {
-      for (const Pair& pair : *bucket) {
-        ++(*counts)[pair.first - lo + 1];
-      }
-    }
-    for (size_t i = 1; i <= range; ++i) (*counts)[i] += (*counts)[i - 1];
-    out->resize(pair_count);
-    for (auto* bucket : buckets) {
-      for (Pair& pair : *bucket) {
-        (*out)[(*counts)[pair.first - lo]++] = std::move(pair);
-      }
-    }
-  }
-  return true;
+  std::stable_sort(
+      out->begin(), out->end(),
+      [](const Pair& a, const Pair& b) { return a.first < b.first; });
+  return false;
 }
 
 }  // namespace engine_internal

@@ -56,8 +56,8 @@ size_t BucketReserve(const RoundSpec<Input, Value>& spec,
 
 /// Resident bucket store: worker t's emissions for partition p sit in
 /// scatter[t][p], in the worker's emission order. A partition is grouped
-/// by GroupByKey (counting scatter on dense key ranges, stable_sort of the
-/// worker-order concatenation otherwise) and reduced from the grouped
+/// by GroupByKey (per-key counting scatter on dense key ranges, a binned
+/// scatter with in-bin sorts otherwise) and reduced from the grouped
 /// vector.
 template <typename Value>
 struct ResidentBuckets {
@@ -88,7 +88,8 @@ struct ResidentBuckets {
   void CountSpills(ShuffleStats*) const {}
 
   /// Hands `reduce` partition p's pairs in grouped order; returns how the
-  /// partition was grouped (1 = counting scatter, 2 = stable_sort).
+  /// partition was grouped (1 = per-key counting scatter, 2 = binned
+  /// scatter or, for the cases GroupByKey cannot scatter, stable_sort).
   template <typename Reduce>
   uint8_t Drain(unsigned p, size_t pair_count, Scratch* scratch,
                 const Reduce& reduce) {

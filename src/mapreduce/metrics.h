@@ -45,10 +45,11 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
   /* Bytes scattered through the shuffle (keys + values, post-combine). */ \
   DIAGNOSTIC(uint64_t, shuffle_bytes)                                      \
   /* How the local round grouped its non-empty resident partitions:       \
-     `counting_partitions` took the O(n) counting scatter (dense key       \
-     range), `sorted_partitions` the stable_sort fallback. Both 0 for      \
-     budgeted rounds (merged, never grouped), the process backend, and     \
-     empty rounds. See mapreduce/group_by_key.h. */                        \
+     `counting_partitions` took the O(n) per-key counting scatter (dense   \
+     key range), `sorted_partitions` the binned scatter plus in-bin sorts  \
+     (sparse key range). Both 0 for budgeted rounds (merged, never         \
+     grouped), the process backend, and empty rounds. See                  \
+     mapreduce/group_by_key.h. */                                          \
   DIAGNOSTIC(uint64_t, counting_partitions)                                \
   DIAGNOSTIC(uint64_t, sorted_partitions)                                  \
   /* Out-of-core accounting for budgeted rounds (ExecutionPolicy::         \

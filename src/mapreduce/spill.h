@@ -23,8 +23,9 @@ namespace smr {
 /// (`shuffle_budget_bytes`). The design follows the Mimir page-pool shape:
 /// emission buffers are charged against one per-job PagePool, and when the
 /// pool exceeds the budget a map worker spills its own buffers — each
-/// bucket grouped by engine_internal::GroupByKey (counting scatter on
-/// dense keys, stable_sort on sparse ones) and appended to the worker's
+/// bucket grouped by engine_internal::GroupByKey (per-key counting scatter
+/// on dense keys, binned scatter and in-bin sorts on sparse ones) and
+/// appended to the worker's
 /// temp file in partition order as one *run* — then keeps emitting into
 /// the emptied buffers. After the map phase, each partition's pairs are
 /// recovered as a stable k-way merge of its spilled runs plus the grouped

@@ -1,12 +1,15 @@
 // The sort-free grouping layer (mapreduce/group_by_key.h): unit tests of
-// the counting scatter's stability and its automatic sort fallback, a
-// property-fuzz grid asserting outputs, order, and semantic metrics
-// byte-identical to the test-side ReferenceRound across 1/2/4/8 threads x
-// one global partition or automatic partitioning x combine on/off, the
-// grouping ShuffleStats, and the empty-round short-circuit regression.
+// the counting scatter's stability, a differential grid of the binned
+// scatter that groups sparse partitions, a property-fuzz grid asserting
+// outputs, order, and semantic metrics byte-identical to the test-side
+// ReferenceRound across 1/2/4/8 threads x one global partition or
+// automatic partitioning x combine on/off, the grouping ShuffleStats, and
+// the empty-round short-circuit regression.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -76,8 +79,10 @@ TEST(GroupByKey, SparseRangeFallsBackToSortWithIdenticalResult) {
 }
 
 TEST(GroupByKey, ForcedCountingAcceptsModeratelySparseRanges) {
-  // Spread 100 with 3 pairs: beyond the 4x density bound, so the
-  // automatic rule takes the sort fallback — with the same grouped order.
+  // (Named for a forced-counting knob that no longer exists.) Spread 100
+  // with 3 pairs is beyond the 4x density bound, so the partition takes
+  // the binned scatter (at most 4 x 3 bins, here 16 keys wide) and reports
+  // not counted — with the stable-sort order.
   const std::vector<std::vector<Pair>> buckets = {{{107, 1}, {7, 2}},
                                                   {{50, 3}}};
   bool counted = true;
@@ -87,8 +92,10 @@ TEST(GroupByKey, ForcedCountingAcceptsModeratelySparseRanges) {
 }
 
 TEST(GroupByKey, ForcedCountingStillRefusesAstronomicalRanges) {
-  // A stray radix key makes the range ~2^63; grouping must fall back to
-  // sort instead of attempting the histogram allocation.
+  // (Named for a forced-counting knob that no longer exists.) A stray
+  // radix key makes the range ~2^63; the binned scatter widens its bins
+  // until at most 4 x 2 remain instead of allocating a histogram over the
+  // range.
   bool counted = true;
   const std::vector<Pair> grouped =
       Group({{{uint64_t{1} << 63, 1}, {2, 2}}}, &counted);
@@ -101,6 +108,162 @@ TEST(GroupByKey, EmptyPartition) {
   bool counted = true;
   EXPECT_TRUE(Group({{}, {}}, &counted).empty());
   EXPECT_FALSE(counted);
+}
+
+// ---------------------------------------------------------------------------
+// Binned scatter: a sparse partition is scattered into (key - lo) >> shift
+// bins and each bin is sorted by key. Every input must still group exactly
+// like the stable sort of the worker-order concatenation.
+
+/// Cuts one emission-order stream into `parts` contiguous worker buckets
+/// (some possibly empty); their concatenation is the stream again.
+std::vector<std::vector<Pair>> SplitIntoBuckets(
+    const std::vector<Pair>& emitted, unsigned parts, Rng* rng) {
+  std::vector<size_t> cuts = {0, emitted.size()};
+  for (unsigned i = 1; i < parts; ++i) {
+    cuts.push_back(rng->Below(emitted.size() + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<std::vector<Pair>> buckets;
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    buckets.emplace_back(emitted.begin() + cuts[i],
+                         emitted.begin() + cuts[i + 1]);
+  }
+  return buckets;
+}
+
+/// Pairs (key, emission index) for `keys`, so equal keys are told apart.
+std::vector<Pair> Emitted(const std::vector<uint64_t>& keys) {
+  std::vector<Pair> emitted;
+  for (const uint64_t key : keys) {
+    emitted.emplace_back(key, static_cast<int>(emitted.size()));
+  }
+  return emitted;
+}
+
+/// Groups `keys` split over 1-4 worker buckets and checks the result and
+/// the reported branch against the stable-sort reference.
+void ExpectGroupsLikeStableSort(const std::vector<uint64_t>& keys, Rng* rng,
+                                const std::string& label) {
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const uint64_t spread = *hi - *lo;
+  const std::vector<std::vector<Pair>> buckets = SplitIntoBuckets(
+      Emitted(keys), 1 + static_cast<unsigned>(rng->Below(4)), rng);
+  bool counted = false;
+  const std::vector<Pair> grouped = Group(buckets, &counted);
+  EXPECT_EQ(counted, spread < engine_internal::kAutoSparsityCap * keys.size())
+      << label << " n=" << keys.size();
+  EXPECT_EQ(grouped, StableSorted(buckets)) << label << " n=" << keys.size();
+}
+
+/// Inserts `key` at a random position of `keys`.
+void InsertAnywhere(uint64_t key, std::vector<uint64_t>* keys, Rng* rng) {
+  keys->insert(keys->begin() + rng->Below(keys->size() + 1), key);
+}
+
+TEST(GroupByKey, BinnedScatterMatchesStableSortOnSparseKeys) {
+  Rng rng(0xb1225);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 1 + rng.Below(trial % 4 == 0 ? 8 : 4000);
+    std::vector<uint64_t> keys(n);
+
+    for (uint64_t& key : keys) key = rng.Next() % (uint64_t{1} << 40);
+    ExpectGroupsLikeStableSort(keys, &rng, "uniform sparse");
+
+    // The two-round join's key u * nodes + w with u < w, drawn from a pool
+    // of n / 3 + 1 endpoint pairs so keys repeat.
+    const uint64_t nodes = 2 + rng.Below(20000);
+    std::vector<uint64_t> pool(n / 3 + 1);
+    for (uint64_t& key : pool) {
+      const uint64_t u = rng.Below(nodes - 1);
+      key = u * nodes + u + 1 + rng.Below(nodes - 1 - u);
+    }
+    for (uint64_t& key : keys) key = pool[rng.Below(pool.size())];
+    ExpectGroupsLikeStableSort(keys, &rng, "two-round join");
+
+    std::vector<uint64_t> few(1 + rng.Below(8));
+    for (uint64_t& key : few) key = rng.Next() >> rng.Below(40);
+    for (uint64_t& key : keys) key = few[rng.Below(few.size())];
+    ExpectGroupsLikeStableSort(keys, &rng, "heavy duplicates");
+
+    for (uint64_t& key : keys) key = rng.Below(1000);
+    std::vector<uint64_t> stray = keys;
+    InsertAnywhere(uint64_t{1} << 63, &stray, &rng);
+    ExpectGroupsLikeStableSort(stray, &rng, "stray key at 2^63");
+
+    for (uint64_t& key : keys) key = rng.Next();
+    std::vector<uint64_t> full = keys;
+    InsertAnywhere(0, &full, &rng);
+    InsertAnywhere(std::numeric_limits<uint64_t>::max(), &full, &rng);
+    ExpectGroupsLikeStableSort(full, &rng, "full 64-bit spread");
+  }
+}
+
+TEST(GroupByKey, BinnedScatterSortsBinsAtTheInsertionSortThreshold) {
+  // 1000 pairs over a spread of max_bins x 1024 - 1 make the bins exactly
+  // 1024 keys wide (shift 10). Bin 5 gets `fill` pairs with repeating
+  // keys, in random or descending emission order; the others are spread
+  // thinly over the rest of the range, with both ends pinned.
+  const size_t n = 1000;
+  const uint64_t max_bins =
+      std::min(engine_internal::kAutoSparsityCap * n,
+               engine_internal::kMaxSparseBins);
+  const uint64_t spread = max_bins * 1024 - 1;
+  const uint64_t bin_lo = 5 * 1024;
+  const size_t threshold = engine_internal::kInsertionSortMax;
+  Rng rng(0x7e5);
+  for (const size_t fill : {threshold, threshold + 1}) {
+    for (const bool descending : {false, true}) {
+      std::vector<uint64_t> in_bin(fill);
+      for (uint64_t& key : in_bin) key = bin_lo + 16 * rng.Below(32);
+      if (descending) std::sort(in_bin.rbegin(), in_bin.rend());
+      std::vector<uint64_t> keys = {0, spread};
+      while (keys.size() + fill < n) {
+        const uint64_t key = rng.Below(spread + 1);
+        if (key < bin_lo || key >= bin_lo + 1024) keys.push_back(key);
+      }
+      const size_t at = rng.Below(keys.size() + 1);
+      keys.insert(keys.begin() + at, in_bin.begin(), in_bin.end());
+      ASSERT_EQ(keys.size(), n);
+      ExpectGroupsLikeStableSort(
+          keys, &rng,
+          "bin of " + std::to_string(fill) +
+              (descending ? " descending" : " random"));
+    }
+  }
+}
+
+/// Wall-clock seconds `run` takes.
+template <typename Run>
+double SecondsOf(const Run& run) {
+  const auto start = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(GroupByKey, OneStrayKeyOverADenseMassSortsBinZeroFast) {
+  // Every key but one lands in bin 0, which is far past the insertion-sort
+  // threshold: it must take stable_sort, at about the reference's cost. An
+  // insertion sort of these 200 000 pairs takes ~300x the reference in
+  // Release (11 s against 0.03 s), so the bound below is loose enough for
+  // sanitizers and loaded hosts and still catches it.
+  Rng rng(0xad5e);
+  std::vector<uint64_t> keys(200000);
+  for (uint64_t& key : keys) key = rng.Below(1000);
+  keys.push_back(uint64_t{1} << 63);
+  const std::vector<std::vector<Pair>> buckets = {Emitted(keys)};
+  bool counted = true;
+  std::vector<Pair> grouped;
+  std::vector<Pair> reference;
+  const double group_seconds =
+      SecondsOf([&] { grouped = Group(buckets, &counted); });
+  const double sort_seconds =
+      SecondsOf([&] { reference = StableSorted(buckets); });
+  EXPECT_FALSE(counted);
+  EXPECT_EQ(grouped, reference);
+  EXPECT_LT(group_seconds, 20 * sort_seconds + 0.5);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // exactly zero on every exit path (channel destruction, spill, and
 // SpilledBuckets::Reopen discarding a failed map attempt), and the runs
 // and tails a channel groups with GroupByKey must merge back to exactly
-// the stable sort of the emission order, on both grouping branches and at
-// the kAutoSparsityCap boundary between them.
+// the stable sort of the emission order, on both grouping branches (per-key
+// counting and binned), at the kAutoSparsityCap boundary between them, and
+// on two-round-join-shaped keys with duplicates.
 
 #include <algorithm>
 #include <cstdint>
@@ -103,14 +104,30 @@ TEST(SpillChannelPool, ReopenReleasesTheDiscardedChannelsCharge) {
 // Grouping from the spill side.
 
 /// How the keys of one grouped segment (a spilled run or the tail) spread.
-enum class Spread { kDense, kSparse, kCountingEdge, kSortEdge };
+enum class Spread { kDense, kSparse, kCountingEdge, kSortEdge, kClustered };
 
 /// `n` keys whose max - min is exactly the spread `kind` names:
-/// GroupByKey counts when spread < kAutoSparsityCap x n, so kCountingEdge
-/// (4n - 1) is the widest counted segment and kSortEdge (4n) the narrowest
-/// sorted one. Sparse keys repeat n / 8 values spaced 2^30 apart, so the
-/// sort branch sees duplicates whose emission order must survive.
+/// GroupByKey counts per key when spread < kAutoSparsityCap x n, so
+/// kCountingEdge (4n - 1) is the widest counted segment and kSortEdge (4n)
+/// the narrowest binned one. Sparse keys repeat n / 8 values spaced 2^30
+/// apart, so the binned branch sees duplicates whose emission order must
+/// survive. Clustered keys are the two-round join's u * nodes + w (u < w)
+/// over 64 rows u and a 256-node window of w: n / 8 endpoint pairs, each
+/// repeated about 8 times, so a bin holds several distinct keys and their
+/// duplicates.
 std::vector<uint64_t> SegmentKeys(Spread kind, uint64_t n, Rng* rng) {
+  if (kind == Spread::kClustered) {
+    const uint64_t nodes = 20000;
+    const uint64_t first_u = rng->Below(nodes / 2);
+    const uint64_t first_w = first_u + 65 + rng->Below(nodes / 4);
+    std::vector<uint64_t> pool(n / 8);
+    for (uint64_t& key : pool) {
+      key = (first_u + rng->Below(64)) * nodes + first_w + rng->Below(256);
+    }
+    std::vector<uint64_t> keys(n);
+    for (uint64_t& key : keys) key = pool[rng->Below(pool.size())];
+    return keys;
+  }
   const uint64_t base = 1000 + rng->Below(1000);
   const uint64_t cap = engine_internal::kAutoSparsityCap;
   uint64_t stride = 1;
@@ -123,6 +140,7 @@ std::vector<uint64_t> SegmentKeys(Spread kind, uint64_t n, Rng* rng) {
       break;
     case Spread::kCountingEdge: spread = cap * n - 1; break;
     case Spread::kSortEdge: spread = cap * n; break;
+    case Spread::kClustered: break;
   }
   std::vector<uint64_t> keys(n);
   for (uint64_t& key : keys) {
@@ -133,7 +151,8 @@ std::vector<uint64_t> SegmentKeys(Spread kind, uint64_t n, Rng* rng) {
   return keys;
 }
 
-/// Which GroupByKey branch a segment of `keys` takes (true = counting).
+/// Which GroupByKey branch a segment of `keys` takes (true = per-key
+/// counting, false = binned).
 bool CountsSegment(const std::vector<uint64_t>& keys) {
   std::vector<Pair> bucket;
   for (const uint64_t key : keys) bucket.emplace_back(key, 0);
@@ -159,7 +178,8 @@ TEST(SpillChannelGrouping, MergedRunsEqualStableSortOfEmissionOrder) {
   const uint64_t tail_pairs = run_pairs / 2 + 3;
   ASSERT_GT(run_pairs, 16u);
   const Spread kinds[] = {Spread::kDense, Spread::kSparse,
-                          Spread::kCountingEdge, Spread::kSortEdge};
+                          Spread::kCountingEdge, Spread::kSortEdge,
+                          Spread::kClustered};
   Rng rng(0x5e11);
   for (const Spread run_kind : kinds) {
     for (const Spread tail_kind : kinds) {
