@@ -8,7 +8,12 @@
 namespace smr {
 
 std::vector<ConjunctiveQuery> GenerateOrderCqs(const SampleGraph& pattern) {
-  const auto& automorphisms = pattern.Automorphisms();
+  return GenerateOrderCqs(pattern, pattern.Automorphisms());
+}
+
+std::vector<ConjunctiveQuery> GenerateOrderCqs(
+    const SampleGraph& pattern,
+    const std::vector<std::vector<int>>& automorphisms) {
   std::vector<ConjunctiveQuery> cqs;
   std::vector<int> relabeled(pattern.num_vars());
   for (const auto& order : AllPermutations(pattern.num_vars())) {

@@ -16,6 +16,12 @@ namespace smr {
 /// of the pattern exactly once.
 std::vector<ConjunctiveQuery> GenerateOrderCqs(const SampleGraph& pattern);
 
+/// The same quotient by a subgroup `automorphisms` of the pattern's group
+/// (the labeled extension passes the label-preserving automorphisms).
+std::vector<ConjunctiveQuery> GenerateOrderCqs(
+    const SampleGraph& pattern,
+    const std::vector<std::vector<int>>& automorphisms);
+
 /// Section 3.3: merges CQs that share the same edge orientation (identical
 /// relational subgoals) by OR-ing their arithmetic conditions. Order of the
 /// output follows first appearance of each orientation.

@@ -12,12 +12,11 @@ namespace smr {
 namespace {
 
 /// Backtracking enumeration over a directed graph with canonical-embedding
-/// deduplication; shared by the serial path and the reducers (the reducer
-/// passes a `keep` filter for its bucket multiset).
+/// deduplication; shared by the serial path and the reducers (a reducer
+/// passes a sink that keeps only its bucket multiset's instances).
 uint64_t MatchDirected(const DirectedSampleGraph& pattern,
-                       const DirectedGraph& graph,
-                       const std::function<bool(std::span<const NodeId>)>& keep,
-                       InstanceSink* sink, CostCounter* cost) {
+                       const DirectedGraph& graph, InstanceSink* sink,
+                       CostCounter* cost) {
   const int p = pattern.num_vars();
   const auto& automorphisms = pattern.Automorphisms();
 
@@ -65,7 +64,6 @@ uint64_t MatchDirected(const DirectedSampleGraph& pattern,
         if (!canonical) break;
       }
       if (!canonical) return;
-      if (keep && !keep(assignment)) return;
       ++found;
       if (cost != nullptr) ++cost->outputs;
       if (sink != nullptr) sink->Emit(assignment);
@@ -129,7 +127,7 @@ uint64_t MatchDirected(const DirectedSampleGraph& pattern,
 uint64_t EnumerateDirectedInstances(const DirectedSampleGraph& pattern,
                                     const DirectedGraph& graph,
                                     InstanceSink* sink, CostCounter* cost) {
-  return MatchDirected(pattern, graph, nullptr, sink, cost);
+  return MatchDirected(pattern, graph, sink, cost);
 }
 
 MapReduceMetrics DirectedBucketOrientedEnumerate(
@@ -216,7 +214,7 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
       std::vector<NodeId> scratch_;
     };
     FilterSink filter(nodes, hasher, own, context);
-    MatchDirected(pattern, local, nullptr, &filter, context->cost);
+    MatchDirected(pattern, local, &filter, context->cost);
   };
 
   JobDriver driver(policy);

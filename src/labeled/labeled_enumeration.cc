@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "cq/cq_evaluator.h"
+#include "cq/cq_generation.h"
 #include "graph/node_order.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
@@ -14,41 +15,19 @@
 namespace smr {
 
 std::vector<LabeledCq> LabeledCqsForSample(const LabeledSampleGraph& pattern) {
-  const auto& automorphisms = pattern.Automorphisms();
-  const SampleGraph& skeleton = pattern.skeleton();
-  // Quotient representatives under the label-preserving group.
-  std::vector<ConjunctiveQuery> raw;
-  std::vector<int> relabeled(skeleton.num_vars());
-  for (const auto& order : AllPermutations(skeleton.num_vars())) {
-    bool smallest = true;
-    for (const auto& mu : automorphisms) {
-      for (size_t i = 0; i < order.size(); ++i) relabeled[i] = mu[order[i]];
-      if (std::lexicographical_compare(relabeled.begin(), relabeled.end(),
-                                       order.begin(), order.end())) {
-        smallest = false;
-        break;
-      }
+  // Labels are a function of the unordered pattern edge, so CQs merged for
+  // equal subgoals always agree on labels.
+  std::vector<LabeledCq> labeled;
+  for (ConjunctiveQuery& cq : MergeByOrientation(
+           GenerateOrderCqs(pattern.skeleton(), pattern.Automorphisms()))) {
+    std::vector<EdgeLabel> labels;
+    labels.reserve(cq.subgoals().size());
+    for (const auto& [a, b] : cq.subgoals()) {
+      labels.push_back(pattern.LabelOf(a, b));
     }
-    if (smallest) raw.push_back(ConjunctiveQuery::ForOrder(skeleton, order));
+    labeled.push_back(LabeledCq{std::move(cq), std::move(labels)});
   }
-  // Merge by orientation. Labels are a function of the unordered pattern
-  // edge, so CQs with equal subgoals always agree on labels.
-  std::map<std::vector<std::pair<int, int>>, size_t> index_of;
-  std::vector<LabeledCq> merged;
-  for (const ConjunctiveQuery& cq : raw) {
-    auto [it, inserted] = index_of.emplace(cq.subgoals(), merged.size());
-    if (inserted) {
-      std::vector<EdgeLabel> labels;
-      labels.reserve(cq.subgoals().size());
-      for (const auto& [a, b] : cq.subgoals()) {
-        labels.push_back(pattern.LabelOf(a, b));
-      }
-      merged.push_back(LabeledCq{cq, std::move(labels)});
-    } else {
-      merged[it->second].cq.MergeCondition(cq);
-    }
-  }
-  return merged;
+  return labeled;
 }
 
 uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,

@@ -98,9 +98,9 @@ inline DecodeStatus GetVarint(const unsigned char* data, size_t size,
 /// covers trivially copyable PODs (every hand-written value struct in the
 /// strategies); the std::pair specialization covers Edge and friends,
 /// which libstdc++ does not consider trivially copyable despite being
-/// plain pairs of ids. Values with kEncodable == false (none in the
-/// repository today) can neither spill nor cross a process boundary; the
-/// engine keeps them on the unbounded in-thread path.
+/// plain pairs of ids. Every shuffle value must have kEncodable == true:
+/// the engine's bucket store asserts it, as any round may spill or cross a
+/// process boundary.
 template <typename V>
 struct ValueCodec {
   static constexpr bool kEncodable =
@@ -291,8 +291,6 @@ inline DecodeStatus DecodeFrameChecked(const unsigned char* data, size_t size,
 /// (kMalformed).
 template <typename Value>
 struct RecordCodec {
-  static constexpr bool kEncodable = ValueCodec<Value>::kEncodable;
-
   /// Upper bound on one pair frame's size, for batch sizing.
   static constexpr size_t kMaxFrameSize =
       kMaxVarintBytes + 1 + kMaxVarintBytes + ValueCodec<Value>::kBytes;

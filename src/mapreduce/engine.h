@@ -4,7 +4,6 @@
 #include <span>
 #include <type_traits>
 
-#include "mapreduce/codec.h"
 #include "mapreduce/execution_policy.h"
 #include "mapreduce/local_round.h"
 #include "mapreduce/process_backend.h"
@@ -29,11 +28,12 @@ namespace smr {
 ///                   |
 ///                   v
 ///   RunLocalRound (mapreduce/local_round.h) -- one partitioned pipeline
-///       on this process's threads: scatter into P key-range buckets,
-///       group (mapreduce/group_by_key.h) or merge spilled runs
-///       (mapreduce/spill.h) per partition, reduce, ordered replay
+///       on this process's threads: scatter into the bucket store's P
+///       key-range buckets, group (mapreduce/group_by_key.h) or, where
+///       runs spilled, merge (mapreduce/spill.h) per partition, reduce,
+///       ordered replay
 ///   ProcessShuffleBackend (mapreduce/process_backend.h) -- the same
-///       partitioned store, with forked map workers feeding it over
+///       bucket store, with forked map workers feeding it over
 ///       codec-framed sockets and forked reduce workers each owning a
 ///       contiguous group of partitions
 ///                   |
@@ -93,10 +93,10 @@ namespace smr {
 /// (EmitInstance), `records` the intermediate records (EmitRecord) a
 /// multi-round pipeline threads into its next round; either may be null.
 /// `policy` selects the host-side scheduling — forked worker processes
-/// when it asks for BackendMode::kProcess and the value type is
-/// codec-encodable (it must cross a process boundary), the local round
-/// otherwise; results are identical for every thread count, partition
-/// count, budget, and backend.
+/// when it asks for BackendMode::kProcess, the local round otherwise;
+/// results are identical for every thread count, partition count, budget,
+/// and backend. Values must be ValueCodec-encodable (the bucket store
+/// asserts it), as any round may spill or cross a process boundary.
 /// `expected_pairs` is a host-side reservation hint for the round's total
 /// emission count (0 = none; the spec's own `emissions_per_input` hint
 /// takes precedence) — a JobDriver passes the previous round's shipped
@@ -116,11 +116,9 @@ MapReduceMetrics RunRound(
     expected_pairs = static_cast<uint64_t>(
         spec.emissions_per_input * static_cast<double>(inputs.size()));
   }
-  if constexpr (RecordCodec<Value>::kEncodable) {
-    if (policy.backend == BackendMode::kProcess) {
-      return ProcessShuffleBackend<Input, Value>().RunRound(
-          spec, inputs, sink, records, policy, expected_pairs);
-    }
+  if (policy.backend == BackendMode::kProcess) {
+    return ProcessShuffleBackend<Input, Value>().RunRound(
+        spec, inputs, sink, records, policy, expected_pairs);
   }
   return RunLocalRound<Input, Value>(spec, inputs, sink, records, policy,
                                      expected_pairs);

@@ -89,18 +89,17 @@ struct ExecutionPolicy {
   unsigned shuffle_partitions = 0;
 
   /// Shuffle memory budget in bytes; 0 = unbounded (all emissions stay in
-  /// memory — the original engine). With a budget, the local round
-  /// routes its emission buffers through the paged spill store
-  /// (mapreduce/spill.h): map workers charge the job's page pool in fixed
-  /// steps and, at a step that leaves it over budget, spill runs grouped
-  /// by the counting scatter (GroupByKey) to temp files once they hold the
-  /// spill floor; the reduce phase streams each partition back as a merge
-  /// of its runs plus the resident tail. Results — instances, emission
-  /// order, and semantic metrics — are byte-identical to the unbounded run
-  /// at every thread count; only ShuffleStats' spill counters change. The
-  /// one exception: a Value type the spill store cannot serialize
-  /// (SpillTraits<V>::kSpillable == false — no such type exists in the
-  /// repository) keeps the unbounded path.
+  /// memory). Every round's emission buffers live in one bucket store
+  /// (mapreduce/local_round.h) backed by the paged spill store
+  /// (mapreduce/spill.h). With a budget, map workers charge the job's page
+  /// pool in fixed steps and, at a step that leaves it over budget, spill
+  /// runs grouped by GroupByKey to temp files once they hold the spill
+  /// floor; the reduce phase streams a spilled partition back as a merge of
+  /// its runs plus the resident tails, and groups any other partition as
+  /// an unbudgeted round does. Results — instances, emission order, and
+  /// semantic metrics — are byte-identical to the unbounded run at every
+  /// thread count; only host-side ShuffleStats (spill and grouping
+  /// counters) change.
   uint64_t shuffle_budget_bytes = 0;
 
   /// Spill-file factory for budgeted rounds; null = the process default
@@ -108,9 +107,8 @@ struct ExecutionPolicy {
   SpillBackend* spill_backend = nullptr;
 
   /// Where workers run: in-process threads (default) or forked worker
-  /// processes shuffling over real sockets. A value type the codec cannot
-  /// serialize (RecordCodec<V>::kEncodable == false — no such type exists
-  /// in the repository) keeps the thread backend.
+  /// processes shuffling over real sockets, both through the same bucket
+  /// store.
   BackendMode backend = BackendMode::kThread;
 
   /// Worker-process count for BackendMode::kProcess; 0 = num_threads.

@@ -4,20 +4,19 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace smr {
 namespace engine_internal {
 
-/// Sort-free grouping: the engine's one grouping primitive. It groups the
-/// local round's resident partitions and, one bucket at a time, the spill
-/// store's runs and resident tails (SpillChannel in mapreduce/spill.h), so
-/// a budgeted round groups at the same per-pair cost as a resident one.
+/// Sort-free grouping: the engine's one grouping primitive. The bucket
+/// store (mapreduce/local_round.h) groups each unspilled partition with it
+/// and, one bucket at a time, a spilled partition's runs and resident tails
+/// (SpillChannel in mapreduce/spill.h), so a budgeted round groups at the
+/// same per-pair cost as an unbudgeted one.
 ///
 /// A partition is grouped by a counting scatter in three scans of its
 /// per-worker buckets (all sequential and branch-cheap):
@@ -48,9 +47,8 @@ namespace engine_internal {
 /// concatenation + stable_sort would produce. Keys come out ascending
 /// because bins are ordered by key. The choice of grouping therefore never
 /// changes results, only host cost. Only partitions too large for the
-/// 32-bit histogram counters and Value types that cannot be
-/// default-constructed into the scatter buffer take the plain concatenate
-/// + stable_sort path.
+/// 32-bit histogram counters take the plain concatenate + stable_sort
+/// path.
 
 /// Per-key counting engages when spread < kAutoSparsityCap x pairs
 /// (i.e. pairs > spread / 4).
@@ -92,7 +90,8 @@ void StableSortBin(Pair* first, Pair* last) {
 /// emission order of the partition's key range) into `*out`: ascending key,
 /// emission order within a key. `pair_count` must equal the buckets' total
 /// size. `counts` is reusable scratch for the histogram (kept allocated
-/// across partitions by the reduce workers). Buckets are moved-from.
+/// across partitions by the reduce workers). The buckets are copied from,
+/// never changed, so grouping them again gives the same result.
 /// Returns true if the per-key counting scatter ran, false if the binned
 /// scatter or the sort path did.
 template <typename Value>
@@ -105,59 +104,57 @@ bool GroupByKey(
   out->clear();
   if (pair_count == 0) return false;
 
-  if constexpr (std::is_default_constructible_v<Value>) {
-    if (pair_count <= std::numeric_limits<uint32_t>::max()) {
-      uint64_t lo = std::numeric_limits<uint64_t>::max();
-      uint64_t hi = 0;
-      for (const auto* bucket : buckets) {
-        for (const Pair& pair : *bucket) {
-          lo = std::min(lo, pair.first);
-          hi = std::max(hi, pair.first);
-        }
+  if (pair_count <= std::numeric_limits<uint32_t>::max()) {
+    uint64_t lo = std::numeric_limits<uint64_t>::max();
+    uint64_t hi = 0;
+    for (const auto* bucket : buckets) {
+      for (const Pair& pair : *bucket) {
+        lo = std::min(lo, pair.first);
+        hi = std::max(hi, pair.first);
       }
-      // spread = range - 1, which cannot overflow even for lo=0,
-      // hi=UINT64_MAX (where range itself would).
-      const uint64_t spread = hi - lo;
-      const uint64_t dense_bins =
-          kAutoSparsityCap * static_cast<uint64_t>(pair_count);
-      const bool per_key = spread < dense_bins;
-      unsigned shift = 0;
-      if (!per_key) {
-        const uint64_t max_bins = std::min(dense_bins, kMaxSparseBins);
-        while ((spread >> shift) >= max_bins) ++shift;
-      }
-      const size_t bins = static_cast<size_t>(spread >> shift) + 1;
-      // counts[b + 1] = size of bin b; the shifted slot makes the in-place
-      // prefix sum below yield start offsets directly.
-      counts->assign(bins + 1, 0);
-      for (const auto* bucket : buckets) {
-        for (const Pair& pair : *bucket) {
-          ++(*counts)[((pair.first - lo) >> shift) + 1];
-        }
-      }
-      for (size_t i = 1; i <= bins; ++i) (*counts)[i] += (*counts)[i - 1];
-      out->resize(pair_count);
-      for (auto* bucket : buckets) {
-        for (Pair& pair : *bucket) {
-          (*out)[(*counts)[(pair.first - lo) >> shift]++] = std::move(pair);
-        }
-      }
-      if (per_key) return true;
-      // After the scatter, counts[b] is bin b's end offset.
-      Pair* const data = out->data();
-      uint32_t begin = 0;
-      for (size_t b = 0; b < bins; ++b) {
-        const uint32_t end = (*counts)[b];
-        if (end - begin > 1) StableSortBin(data + begin, data + end);
-        begin = end;
-      }
-      return false;
     }
+    // spread = range - 1, which cannot overflow even for lo=0,
+    // hi=UINT64_MAX (where range itself would).
+    const uint64_t spread = hi - lo;
+    const uint64_t dense_bins =
+        kAutoSparsityCap * static_cast<uint64_t>(pair_count);
+    const bool per_key = spread < dense_bins;
+    unsigned shift = 0;
+    if (!per_key) {
+      const uint64_t max_bins = std::min(dense_bins, kMaxSparseBins);
+      while ((spread >> shift) >= max_bins) ++shift;
+    }
+    const size_t bins = static_cast<size_t>(spread >> shift) + 1;
+    // counts[b + 1] = size of bin b; the shifted slot makes the in-place
+    // prefix sum below yield start offsets directly.
+    counts->assign(bins + 1, 0);
+    for (const auto* bucket : buckets) {
+      for (const Pair& pair : *bucket) {
+        ++(*counts)[((pair.first - lo) >> shift) + 1];
+      }
+    }
+    for (size_t i = 1; i <= bins; ++i) (*counts)[i] += (*counts)[i - 1];
+    out->resize(pair_count);
+    for (const auto* bucket : buckets) {
+      for (const Pair& pair : *bucket) {
+        (*out)[(*counts)[(pair.first - lo) >> shift]++] = pair;
+      }
+    }
+    if (per_key) return true;
+    // After the scatter, counts[b] is bin b's end offset.
+    Pair* const data = out->data();
+    uint32_t begin = 0;
+    for (size_t b = 0; b < bins; ++b) {
+      const uint32_t end = (*counts)[b];
+      if (end - begin > 1) StableSortBin(data + begin, data + end);
+      begin = end;
+    }
+    return false;
   }
 
   out->reserve(pair_count);
-  for (auto* bucket : buckets) {
-    std::move(bucket->begin(), bucket->end(), std::back_inserter(*out));
+  for (const auto* bucket : buckets) {
+    out->insert(out->end(), bucket->begin(), bucket->end());
   }
   std::stable_sort(
       out->begin(), out->end(),

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "mapreduce/codec.h"
 #include "mapreduce/group_by_key.h"
 #include "mapreduce/round.h"
 #include "mapreduce/spill.h"
@@ -54,79 +55,37 @@ size_t BucketReserve(const RoundSpec<Input, Value>& spec,
   return even + even / 2 + 1;
 }
 
-/// Resident bucket store: worker t's emissions for partition p sit in
-/// scatter[t][p], in the worker's emission order. A partition is grouped
-/// by GroupByKey (per-key counting scatter on dense key ranges, a binned
-/// scatter with in-bin sorts otherwise) and reduced from the grouped
-/// vector.
+/// The engine's bucket store, for local rounds and the process backend's
+/// coordinator alike: map worker t emits into SpillChannel t, one bucket
+/// per destination partition, in emission order. Each channel is charged
+/// against one PagePool; under a budget, a channel holding at least the
+/// spill floor spills its buckets as grouped runs to its worker's temp file
+/// when a charge leaves the pool over budget (mapreduce/spill.h). Without
+/// a budget nothing spills, and OpenMap reserves `per_bucket` pairs per
+/// bucket; under one it never pre-allocates.
+///
+/// Drain hands a partition over in grouped order (ascending key, emission
+/// order within a key). A partition no channel spilled into is grouped by
+/// one GroupByKey over its tails in worker order. A spilled one is a
+/// stable merge of its runs plus its tails, each tail grouped on its own:
+/// exactly the stable sort of the in-memory concatenation, so nothing
+/// downstream can tell the two apart (tests/spill_shuffle_fuzz_test.cc).
 template <typename Value>
-struct ResidentBuckets {
+struct BucketStore {
+  static_assert(ValueCodec<Value>::kEncodable,
+                "shuffle values must be ValueCodec-encodable: any round "
+                "may spill or cross a process boundary");
   using Pair = std::pair<uint64_t, Value>;
 
-  /// Per-reduce-worker scratch, kept allocated across partitions.
+  /// Per-drain-thread scratch, kept allocated across partitions.
   struct Scratch {
-    std::vector<Pair> grouped;
-    std::vector<std::vector<Pair>*> buckets;
+    std::vector<std::vector<Pair>*> tails;
     std::vector<uint32_t> counts;
+    std::vector<Pair> grouped;
   };
 
-  ResidentBuckets(unsigned workers, unsigned partitions, size_t per_bucket)
-      : scatter(workers, std::vector<std::vector<Pair>>(partitions)),
-        bucket_reserve(per_bucket) {}
-
-  /// Called on map worker t's own thread, so its reservations come from
-  /// that thread's allocator arena.
-  std::vector<std::vector<Pair>>* OpenMap(size_t t) {
-    if (bucket_reserve > 0) {
-      for (auto& bucket : scatter[t]) bucket.reserve(bucket_reserve);
-    }
-    return &scatter[t];
-  }
-  SpillChannel<Value>* channel(size_t) { return nullptr; }
-  void FinishMap(size_t) {}
-  uint64_t PairsIn(size_t t, unsigned p) const { return scatter[t][p].size(); }
-  void CountSpills(ShuffleStats*) const {}
-
-  /// Hands `reduce` partition p's pairs in grouped order; returns how the
-  /// partition was grouped (1 = per-key counting scatter, 2 = binned
-  /// scatter or, for the cases GroupByKey cannot scatter, stable_sort).
-  template <typename Reduce>
-  uint8_t Drain(unsigned p, size_t pair_count, Scratch* scratch,
-                const Reduce& reduce) {
-    scratch->buckets.clear();
-    for (auto& worker : scatter) scratch->buckets.push_back(&worker[p]);
-    const bool counted = GroupByKey<Value>(scratch->buckets, pair_count,
-                                           &scratch->grouped,
-                                           &scratch->counts);
-    const std::vector<Pair>& grouped = scratch->grouped;
-    size_t i = 0;
-    reduce([&]() -> const Pair* {
-      return i < grouped.size() ? &grouped[i++] : nullptr;
-    });
-    return counted ? 1 : 2;
-  }
-
-  std::vector<std::vector<std::vector<Pair>>> scatter;
-  size_t bucket_reserve;
-};
-
-/// Budgeted bucket store: each map worker's buckets belong to a
-/// SpillChannel charged against one PagePool in charge steps; at a charge
-/// that leaves the pool over budget, a channel holding at least the spill
-/// floor spills its buckets, grouped by GroupByKey, as runs to the
-/// worker's temp file. A partition is streamed back as a stable merge of
-/// its runs plus resident tails in worker order — exactly the stable sort
-/// of the in-memory concatenation, so nothing downstream can tell the
-/// stores apart (the contract tests/spill_shuffle_fuzz_test.cc pins).
-/// Unbudgeted (the process backend's store), OpenMap reserves
-/// `per_bucket` pairs per bucket; under a budget it never pre-allocates.
-template <typename Value>
-struct SpilledBuckets {
-  using Pair = std::pair<uint64_t, Value>;
-  struct Scratch {};
-
-  SpilledBuckets(const ExecutionPolicy& policy, unsigned workers,
-                 unsigned partitions, size_t per_bucket = 0)
+  BucketStore(const ExecutionPolicy& policy, unsigned workers,
+              unsigned partitions, size_t per_bucket = 0)
       : pool(policy.shuffle_budget_bytes, policy.spill_backend),
         bucket_reserve(pool.bounded() ? 0 : per_bucket) {
     channels.reserve(workers);
@@ -136,7 +95,8 @@ struct SpilledBuckets {
     }
   }
 
-  /// Called on map worker t's own thread, like ResidentBuckets::OpenMap.
+  /// Called on map worker t's own thread, so its reservations come from
+  /// that thread's allocator arena.
   std::vector<std::vector<Pair>>* OpenMap(size_t t) {
     std::vector<std::vector<Pair>>* buckets = channels[t]->buckets();
     if (bucket_reserve > 0) {
@@ -145,7 +105,6 @@ struct SpilledBuckets {
     return buckets;
   }
   SpillChannel<Value>* channel(size_t t) { return channels[t].get(); }
-  void FinishMap(size_t t) { channels[t]->Finish(); }
   uint64_t PairsIn(size_t t, unsigned p) const {
     return channels[t]->PairsInPartition(p);
   }
@@ -167,33 +126,57 @@ struct SpilledBuckets {
     stats->spill_files = pool.spill_files();
   }
 
-  /// Streams partition p's merged pairs into `reduce`; a merged partition
-  /// is never grouped, so it reports neither grouping (0).
+  /// Hands `reduce` partition p's `pair_count` pairs in grouped order;
+  /// returns how the partition was grouped (1 = per-key counting scatter,
+  /// 2 = binned scatter or stable_sort, 0 = merged from spilled runs).
+  /// Draining p again yields the same stream, as a process-backend reduce
+  /// retry needs: GroupByKey leaves the tails it groups unchanged, and a
+  /// spilled partition's tails are grouped in place, which a second
+  /// grouping leaves as they are.
   template <typename Reduce>
-  uint8_t Drain(unsigned p, size_t, Scratch*, const Reduce& reduce) {
-    std::vector<SpillSource<Value>> sources;
-    for (auto& channel_ptr : channels) channel_ptr->AppendSources(p, &sources);
-    SpillMerger<Value> merger(std::move(sources));
-    Pair current;
+  uint8_t Drain(unsigned p, size_t pair_count, Scratch* scratch,
+                const Reduce& reduce) {
+    bool spilled = false;
+    for (const auto& channel : channels) spilled |= channel->Spilled(p);
+    if (spilled) {
+      std::vector<SpillSource<Value>> sources;
+      for (auto& channel : channels) {
+        channel->AppendSources(p, &sources, &scratch->counts);
+      }
+      SpillMerger<Value> merger(std::move(sources));
+      Pair current;
+      reduce([&]() -> const Pair* {
+        return merger.Next(&current.first, &current.second) ? &current
+                                                             : nullptr;
+      });
+      return 0;
+    }
+    scratch->tails.clear();
+    for (auto& channel : channels) {
+      scratch->tails.push_back(&(*channel->buckets())[p]);
+    }
+    const bool counted = GroupByKey<Value>(
+        scratch->tails, pair_count, &scratch->grouped, &scratch->counts);
+    const std::vector<Pair>& grouped = scratch->grouped;
+    size_t i = 0;
     reduce([&]() -> const Pair* {
-      return merger.Next(&current.first, &current.second) ? &current
-                                                           : nullptr;
+      return i < grouped.size() ? &grouped[i++] : nullptr;
     });
-    return 0;
+    return counted ? 1 : 2;
   }
 
   // The pool outlives the channels (their destructors release their
   // resident accounting into it), and the channels outlive the reduce
-  // phase (they own the spill files and resident tails it streams from).
+  // phase (they own the spill files and tails it streams from).
   PagePool pool;
   size_t bucket_reserve;
   std::vector<std::unique_ptr<SpillChannel<Value>>> channels;
 };
 
 /// Pairs each partition of `store` holds, summed over its map workers.
-template <typename Store>
-std::vector<uint64_t> PartitionPairs(const Store& store, size_t workers,
-                                     unsigned partitions) {
+template <typename Value>
+std::vector<uint64_t> PartitionPairs(const BucketStore<Value>& store,
+                                     size_t workers, unsigned partitions) {
   std::vector<uint64_t> pairs(partitions, 0);
   for (unsigned p = 0; p < partitions; ++p) {
     for (size_t t = 0; t < workers; ++t) pairs[p] += store.PairsIn(t, p);
@@ -201,20 +184,26 @@ std::vector<uint64_t> PartitionPairs(const Store& store, size_t workers,
   return pairs;
 }
 
-/// The local round over either bucket store: map workers scatter their
-/// contiguous input slices into the store's P key-range buckets; reduce
-/// workers drain partitions from a dynamic queue, each into
-/// partition-private metrics and sinks; partitions are then replayed in
-/// order. Partitions cover ascending disjoint key ranges and each is
-/// reduced in grouped order (ascending key, emission order within a key),
-/// so the replay reproduces the serial round exactly. `expected_keys`
-/// pre-sizes each map worker's combiner slot index (0 = none).
-template <typename Input, typename Value, typename Store>
-MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
+}  // namespace engine_internal
+
+/// Runs one round on this process's threads: map workers scatter their
+/// contiguous input slices into the bucket store's P =
+/// EffectivePartitions() key-range buckets; reduce workers drain
+/// partitions from a dynamic queue, each into partition-private metrics
+/// and sinks; partitions are then replayed in order. Partitions cover
+/// ascending disjoint key ranges and each is reduced in grouped order, so
+/// the replay reproduces the serial round exactly. Single-threaded rounds
+/// run this same pipeline on one worker; P = 1 groups the whole round as
+/// one partition. Shared by engine.h's RunRound and by the process
+/// backend's retries-exhausted thread fallback (OnExhausted::
+/// kFallbackThread), so the fallback runs exactly the round the policy
+/// would have run without BackendMode::kProcess.
+template <typename Input, typename Value>
+MapReduceMetrics RunLocalRound(const RoundSpec<Input, Value>& spec,
                                std::span<const Input> inputs,
                                InstanceSink* sink, InstanceSink* records,
                                const ExecutionPolicy& policy,
-                               size_t expected_keys, Store* store) {
+                               uint64_t expected_pairs) {
   using CombineFn = typename Emitter<Value>::CombineFn;
   const unsigned map_threads = policy.EffectiveThreads(inputs.size());
   const unsigned partitions = policy.EffectivePartitions();
@@ -226,30 +215,40 @@ MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
   const CombineFn* combiner =
       (policy.combine && spec.combiner) ? &spec.combiner : nullptr;
   const KeyPartitioner partitioner(partitions, spec.key_space);
+  engine_internal::BucketStore<Value> store(
+      policy, map_threads, partitions,
+      engine_internal::BucketReserve(spec, policy, expected_pairs,
+                                     map_threads));
+  // Like the buckets, the combiner's slot index is presized only without
+  // a budget: a budgeted round must not pre-allocate past it.
+  const size_t expected_keys =
+      store.pool.bounded() ? 0
+                           : engine_internal::ExpectedPerWorker(
+                                 spec, policy, expected_pairs, map_threads);
 
   // Map phase: worker t scatters its slice's emissions into its own
   // buckets, one per destination partition, in emission order.
   const std::vector<size_t> bounds =
-      SliceBoundaries(inputs.size(), map_threads);
+      engine_internal::SliceBoundaries(inputs.size(), map_threads);
   std::vector<uint64_t> worker_logical(map_threads, 0);
-  RunWorkers(policy, map_threads, [&](size_t t) {
-    Emitter<Value> emitter(store->OpenMap(t), &partitioner, combiner,
-                           expected_keys, store->channel(t));
+  engine_internal::RunWorkers(policy, map_threads, [&](size_t t) {
+    Emitter<Value> emitter(store.OpenMap(t), &partitioner, combiner,
+                           expected_keys, store.channel(t));
     for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
       spec.mapper(inputs[i], &emitter);
     }
-    store->FinishMap(t);
     worker_logical[t] = emitter.emitted();
   }, &metrics.shuffle);
 
   const std::vector<uint64_t> partition_pairs =
-      PartitionPairs(*store, map_threads, partitions);
+      engine_internal::PartitionPairs(store, map_threads, partitions);
   const uint64_t total_pairs = std::accumulate(
       partition_pairs.begin(), partition_pairs.end(), uint64_t{0});
-  CountMapPhase<Value>(std::accumulate(worker_logical.begin(),
-                                       worker_logical.end(), uint64_t{0}),
-                       total_pairs, &metrics);
-  store->CountSpills(&metrics.shuffle);
+  engine_internal::CountMapPhase<Value>(
+      std::accumulate(worker_logical.begin(), worker_logical.end(),
+                      uint64_t{0}),
+      total_pairs, &metrics);
+  store.CountSpills(&metrics.shuffle);
 
   // Empty round: nothing to group, no reduce workers worth dispatching.
   if (total_pairs == 0) return metrics;
@@ -271,8 +270,8 @@ MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
   // One writer per slot (each partition is drained exactly once).
   std::vector<uint8_t> partition_grouping(partitions, 0);
   std::atomic<unsigned> next_partition{0};
-  RunWorkers(policy, reduce_threads, [&](size_t) {
-    typename Store::Scratch scratch;
+  engine_internal::RunWorkers(policy, reduce_threads, [&](size_t) {
+    typename engine_internal::BucketStore<Value>::Scratch scratch;
     while (true) {
       const unsigned p = next_partition.fetch_add(1);
       if (p >= partitions) break;
@@ -282,10 +281,11 @@ MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
                                       : sink;
       InstanceSink* out_records =
           buffered_records ? &partition_records[p] : records;
-      partition_grouping[p] = store->Drain(
+      partition_grouping[p] = store.Drain(
           p, partition_pairs[p], &scratch, [&](const auto& next) {
-            ReduceGroups<Value>(next, spec.reducer, combiner, out,
-                                out_records, &partition_metrics[p]);
+            engine_internal::ReduceGroups<Value>(next, spec.reducer,
+                                                 combiner, out, out_records,
+                                                 &partition_metrics[p]);
           });
     }
   }, &metrics.shuffle);
@@ -299,45 +299,6 @@ MapReduceMetrics RunStoreRound(const RoundSpec<Input, Value>& spec,
   }
   if (counts_only) sink->EmitCount(metrics.outputs);
   return metrics;
-}
-
-}  // namespace engine_internal
-
-/// Runs one round on this process's threads: the partitioned pipeline of
-/// engine_internal::RunStoreRound over EffectivePartitions() key ranges,
-/// with a spilling bucket store when the policy sets a shuffle budget and
-/// the value is spillable, resident vectors otherwise. Single-threaded
-/// rounds run this same pipeline on one worker; P = 1 groups the whole
-/// round as one partition. Shared by engine.h's RunRound and by the process
-/// backend's retries-exhausted thread fallback (OnExhausted::
-/// kFallbackThread), so the fallback runs exactly the round the policy
-/// would have run without BackendMode::kProcess.
-template <typename Input, typename Value>
-MapReduceMetrics RunLocalRound(const RoundSpec<Input, Value>& spec,
-                               std::span<const Input> inputs,
-                               InstanceSink* sink, InstanceSink* records,
-                               const ExecutionPolicy& policy,
-                               uint64_t expected_pairs) {
-  const unsigned map_threads = policy.EffectiveThreads(inputs.size());
-  const unsigned partitions = policy.EffectivePartitions();
-  if constexpr (SpillTraits<Value>::kSpillable) {
-    if (policy.shuffle_budget_bytes > 0) {
-      // No reservations: a budgeted round must not pre-allocate past it.
-      engine_internal::SpilledBuckets<Value> store(policy, map_threads,
-                                                   partitions);
-      return engine_internal::RunStoreRound(spec, inputs, sink, records,
-                                            policy, 0, &store);
-    }
-  }
-  engine_internal::ResidentBuckets<Value> store(
-      map_threads, partitions,
-      engine_internal::BucketReserve(spec, policy, expected_pairs,
-                                     map_threads));
-  return engine_internal::RunStoreRound(
-      spec, inputs, sink, records, policy,
-      engine_internal::ExpectedPerWorker(spec, policy, expected_pairs,
-                                         map_threads),
-      &store);
 }
 
 }  // namespace smr

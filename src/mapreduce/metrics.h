@@ -44,11 +44,12 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
   DIAGNOSTIC(uint64_t, pairs_shipped)                                      \
   /* Bytes scattered through the shuffle (keys + values, post-combine). */ \
   DIAGNOSTIC(uint64_t, shuffle_bytes)                                      \
-  /* How the local round grouped its non-empty resident partitions:       \
+  /* How the local round grouped its non-empty unspilled partitions:      \
      `counting_partitions` took the O(n) per-key counting scatter (dense   \
      key range), `sorted_partitions` the binned scatter plus in-bin sorts  \
-     (sparse key range). Both 0 for budgeted rounds (merged, never         \
-     grouped), the process backend, and empty rounds. See                  \
+     (sparse key range). A partition merged from spilled runs counts in    \
+     neither, so a budgeted round reports only the partitions that did    \
+     not spill. Both 0 for the process backend and empty rounds. See       \
      mapreduce/group_by_key.h. */                                          \
   DIAGNOSTIC(uint64_t, counting_partitions)                                \
   DIAGNOSTIC(uint64_t, sorted_partitions)                                  \

@@ -141,15 +141,16 @@ void RunReduceChild(
 /// BackendMode::kProcess: map and reduce workers are forked processes, and
 /// every shuffled pair crosses the kernel as a codec-framed record over a
 /// socketpair — the measured cost the paper only models. The coordinator
-/// shuffles through the local round's partitioned store (SpilledBuckets,
-/// under the shuffle budget): map worker t's link drains into channel t
+/// shuffles through the local round's bucket store (BucketStore, under
+/// the shuffle budget): map worker t's link drains into channel t
 /// through the round's KeyPartitioner, and reduce worker r owns the
 /// partition group [b[r], b[r+1]) of b = SliceBoundaries(partitions, R),
-/// sent as the store's per-partition merge. Groups are ascending disjoint
-/// key ranges, so replaying output in worker order reproduces the local
-/// round exactly (tests/process_backend_test.cc). Both crews run
-/// WorkerCrew::Run: every link is drained or fed on its own coordinator
-/// thread, all at once, and forks happen only between those passes.
+/// each partition sent in grouped order as the store drains it. Groups
+/// are ascending disjoint key ranges, so replaying output in worker order
+/// reproduces the local round exactly (tests/process_backend_test.cc).
+/// Both crews run WorkerCrew::Run: every link is drained or fed on its own
+/// coordinator thread, all at once, and forks happen only between those
+/// passes.
 ///
 /// Faults (tests/fault_tolerance_test.cc), under policy.retry: a failed
 /// attempt is killed and its parent-side effects (channel, buffered
@@ -164,8 +165,6 @@ void RunReduceChild(
 /// effects outside that stream may repeat under retries.
 template <typename Input, typename Value>
 class ProcessShuffleBackend {
-  static_assert(RecordCodec<Value>::kEncodable,
-                "process backend requires a codec-encodable value type");
   using Pair = std::pair<uint64_t, Value>;
   using CombineFn = typename Emitter<Value>::CombineFn;
   using Fault = process_internal::Fault;
@@ -223,7 +222,7 @@ class ProcessShuffleBackend {
     const KeyPartitioner partitioner(partitions, spec.key_space);
     SpillBackend* spill = policy.spill_backend;
     if (injector != nullptr) spill = injector->WrapSpillBackend(spill);
-    engine_internal::SpilledBuckets<Value> store(
+    engine_internal::BucketStore<Value> store(
         policy.WithSpillBackend(spill), map_workers, partitions,
         engine_internal::BucketReserve(spec, policy, expected_pairs,
                                        map_workers));
@@ -260,7 +259,6 @@ class ProcessShuffleBackend {
           throw Fault{WorkerErrorKind::kSpillFailure, error.what()};
         }
       }, &bytes);
-      store.FinishMap(t);
       link_bytes[t] = bytes;
     };
     map_crew.Run(policy, &metrics.shuffle,
@@ -311,7 +309,7 @@ class ProcessShuffleBackend {
         wire_bytes[r] += wire.size();
         wire.clear();
       };
-      typename engine_internal::SpilledBuckets<Value>::Scratch scratch;
+      typename engine_internal::BucketStore<Value>::Scratch scratch;
       uint64_t sent = 0;
       for (auto p = static_cast<unsigned>(groups[r]); p < groups[r + 1]; ++p) {
         store.Drain(p, partition_pairs[p], &scratch, [&](const auto& next) {

@@ -89,10 +89,10 @@ class Emitter {
     }
   }
 
-  /// `spill` (optional) is the budgeted shuffle's channel owning
-  /// `buckets`: every append is accounted against the job's page pool and
-  /// may spill the channel, at which point the combiner's remembered
-  /// bucket positions are dropped (the buckets were emptied).
+  /// `spill` (optional) is the bucket store's channel owning `buckets`:
+  /// every append is accounted against the job's page pool and, under a
+  /// budget, may spill the channel, at which point the combiner's
+  /// remembered bucket positions are dropped (the buckets were emptied).
   Emitter(std::vector<std::vector<std::pair<uint64_t, Value>>>* buckets,
           const KeyPartitioner* partitioner,
           const CombineFn* combiner = nullptr, size_t expected_keys = 0,

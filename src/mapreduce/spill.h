@@ -9,7 +9,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,9 +26,10 @@ namespace smr {
 /// on dense keys, binned scatter and in-bin sorts on sparse ones) and
 /// appended to the worker's
 /// temp file in partition order as one *run* — then keeps emitting into
-/// the emptied buffers. After the map phase, each partition's pairs are
-/// recovered as a stable k-way merge of its spilled runs plus the grouped
-/// resident tails, in worker order. Every run is a contiguous emission-order
+/// the emptied buffers. A partition no channel spilled into is grouped
+/// whole, like an unbudgeted one; a spilled partition is recovered as a
+/// stable k-way merge of its runs plus its resident tails, each grouped at
+/// drain, in worker order. Every run is a contiguous emission-order
 /// segment grouped stably and the merge breaks key ties by segment order,
 /// so the merged stream is *exactly* the stable sort of the worker-order
 /// concatenation: instances, output order and semantic metrics match the
@@ -149,16 +149,12 @@ class PagePool {
   std::atomic<uint64_t> spill_files_{0};
 };
 
-/// Spill-store serialization, a view over the shared codec layer
+/// Spill-store serialization is the shared codec layer's
 /// (mapreduce/codec.h): spilled records are fixed-size [raw key][ValueCodec
 /// value bytes] blocks, fixed because runs are read back at computed
-/// offsets. Values with kSpillable == false (none in the repository today)
-/// keep the unbounded in-memory shuffle even when a budget is set — the
-/// engine's one documented exception to the budget knob.
+/// offsets.
 template <typename V>
-struct SpillTraits : ValueCodec<V> {
-  static constexpr bool kSpillable = ValueCodec<V>::kEncodable;
-};
+using SpillTraits = ValueCodec<V>;
 
 /// One sorted, streamable segment of a partition's pairs — a spilled run
 /// (read back page-at-a-time through the owning worker's SpillFile) or the
@@ -304,11 +300,8 @@ class SpillChannel {
     return false;
   }
 
-  /// Groups the resident tails; call once, after the last emission.
-  void Finish() {
-    std::vector<uint32_t> counts;
-    for (std::vector<Pair>& bucket : buckets_) GroupBucket(&bucket, &counts);
-  }
+  /// Whether any run of partition `p` went to the spill file.
+  bool Spilled(unsigned p) const { return !spilled_[p].runs.empty(); }
 
   /// Pairs this channel holds for partition `p`, spilled plus resident.
   uint64_t PairsInPartition(unsigned p) const {
@@ -316,12 +309,17 @@ class SpillChannel {
   }
 
   /// Appends partition `p`'s grouped segments in emission order: spilled
-  /// runs oldest-first, then the resident tail. Requires Finish().
-  void AppendSources(unsigned p, std::vector<SpillSource<Value>>* out) {
+  /// runs oldest-first, then the resident tail, which is grouped here, in
+  /// place (grouping a grouped tail again leaves it as it is). Call after
+  /// the last emission.
+  void AppendSources(unsigned p, std::vector<SpillSource<Value>>* out,
+                     std::vector<uint32_t>* counts) {
     for (const Run& run : spilled_[p].runs) {
       out->emplace_back(file_.get(), run.offset, run.count);
     }
-    if (!buckets_[p].empty()) out->emplace_back(&buckets_[p]);
+    if (buckets_[p].empty()) return;
+    GroupBucket(&buckets_[p], counts);
+    out->emplace_back(&buckets_[p]);
   }
 
  private:

@@ -388,9 +388,7 @@ TEST(CheckedFrame, ByteFlipFuzzTerminatesLoudlyOrDecodes) {
 
 TEST(ValueCodec, SpillTraitsShareTheValueEncoding) {
   // The spill path serializes values through the same codec (SpillTraits
-  // is a view over ValueCodec): identical byte layout, identical
-  // encodability verdicts.
-  static_assert(SpillTraits<Edge>::kSpillable == ValueCodec<Edge>::kEncodable);
+  // is an alias of ValueCodec): identical byte layout.
   static_assert(SpillTraits<Edge>::kBytes == ValueCodec<Edge>::kBytes);
   unsigned char via_spill[sizeof(Edge)];
   unsigned char via_codec[sizeof(Edge)];

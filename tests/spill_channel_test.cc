@@ -1,11 +1,12 @@
 // Unit tests of one SpillChannel against its PagePool (mapreduce/spill.h),
 // below the engine: the pool's charge-step accounting must balance to
 // exactly zero on every exit path (channel destruction, spill, and
-// SpilledBuckets::Reopen discarding a failed map attempt), and the runs
+// BucketStore::Reopen discarding a failed map attempt), and the runs
 // and tails a channel groups with GroupByKey must merge back to exactly
 // the stable sort of the emission order, on both grouping branches (per-key
 // counting and binned), at the kAutoSparsityCap boundary between them, and
-// on two-round-join-shaped keys with duplicates.
+// on two-round-join-shaped keys with duplicates. The bucket store must
+// drain a partition, spilled or not, to the same stream every time.
 
 #include <algorithm>
 #include <cstdint>
@@ -81,7 +82,7 @@ TEST(SpillChannelPool, SpillReleasesItsChargeAndLaterAppendsBalance) {
 TEST(SpillChannelPool, ReopenReleasesTheDiscardedChannelsCharge) {
   const ExecutionPolicy policy =
       ExecutionPolicy::WithThreads(2).WithBudget(uint64_t{1} << 20);
-  engine_internal::SpilledBuckets<Value> store(policy, 2, 4);
+  engine_internal::BucketStore<Value> store(policy, 2, 4);
   const uint64_t pairs = 3 * kPairsPerStep + 7;
   for (uint64_t i = 0; i < pairs; ++i) {
     ASSERT_FALSE(Append(store.channel(0), i % 4, i, i));
@@ -207,10 +208,11 @@ TEST(SpillChannelGrouping, MergedRunsEqualStableSortOfEmissionOrder) {
         emitted.emplace_back(key, emitted.size());
         ASSERT_FALSE(Append(&channel, 0, key, emitted.back().second));
       }
-      channel.Finish();
-
+      // The tail is grouped when its sources are taken, at drain.
       std::vector<SpillSource<Value>> sources;
-      channel.AppendSources(0, &sources);
+      std::vector<uint32_t> counts;
+      ASSERT_TRUE(channel.Spilled(0));
+      channel.AppendSources(0, &sources, &counts);
       ASSERT_EQ(sources.size(), 2u);  // One spilled run + the tail.
       SpillMerger<Value> merger(std::move(sources));
       std::vector<Pair> merged;
@@ -224,6 +226,69 @@ TEST(SpillChannelGrouping, MergedRunsEqualStableSortOfEmissionOrder) {
           << "run " << static_cast<int>(run_kind) << " tail "
           << static_cast<int>(tail_kind);
     }
+  }
+}
+
+/// Drains partition `p` of `store` into a vector; `grouping` receives
+/// Drain's grouping code.
+std::vector<Pair> DrainAll(engine_internal::BucketStore<Value>* store,
+                           unsigned p, uint8_t* grouping) {
+  std::vector<Pair> stream;
+  typename engine_internal::BucketStore<Value>::Scratch scratch;
+  *grouping = store->Drain(
+      p, store->PairsIn(0, p) + store->PairsIn(1, p), &scratch,
+      [&](const auto& next) {
+        for (const Pair* pair = next(); pair != nullptr; pair = next()) {
+          stream.push_back(*pair);
+        }
+      });
+  return stream;
+}
+
+TEST(BucketStoreDrain, DrainingTwiceYieldsTheSameStreamSpilledOrNot) {
+  // Worker 0 spills partition 0 under a one-page budget and then leaves a
+  // tail in it; worker 1 adds a tail to partition 0 and is the only one to
+  // emit into partition 1, below the spill floor, so partition 1 never
+  // spills. Each partition must drain, twice, to the stable sort of its
+  // worker-order emissions.
+  const ExecutionPolicy policy =
+      ExecutionPolicy::Serial().WithBudget(PagePool::kPageBytes);
+  engine_internal::BucketStore<Value> store(policy, 2, 2);
+  std::vector<Pair> emitted[2][2];  // [worker][partition]
+  Rng rng(0xd4a1);
+  const auto emit = [&](unsigned t, unsigned p, uint64_t key) {
+    emitted[t][p].emplace_back(key, rng.Next());
+    return Append(store.channel(t), p, key, emitted[t][p].back().second);
+  };
+  while (!emit(0, 0, rng.Below(300))) {
+  }
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_FALSE(emit(0, 0, rng.Below(300)));
+    ASSERT_FALSE(emit(1, 0, rng.Below(300)));
+    ASSERT_FALSE(emit(1, 1, 1000 + rng.Below(300)));
+  }
+  ASSERT_TRUE(store.channel(0)->Spilled(0));
+  ASSERT_FALSE(store.channel(1)->Spilled(0));
+  ASSERT_FALSE(store.channel(0)->Spilled(1));
+  ASSERT_FALSE(store.channel(1)->Spilled(1));
+
+  for (unsigned p = 0; p < 2; ++p) {
+    std::vector<Pair> expected = emitted[0][p];
+    expected.insert(expected.end(), emitted[1][p].begin(),
+                    emitted[1][p].end());
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const Pair& a, const Pair& b) { return a.first < b.first; });
+    uint8_t first_grouping = 9;
+    uint8_t second_grouping = 9;
+    const std::vector<Pair> first = DrainAll(&store, p, &first_grouping);
+    const std::vector<Pair> second = DrainAll(&store, p, &second_grouping);
+    EXPECT_EQ(first, expected) << "partition " << p;
+    EXPECT_EQ(second, first) << "partition " << p;
+    // Partition 0 is merged from its run; partition 1's 500 keys over 300
+    // take the per-key counting scatter.
+    EXPECT_EQ(first_grouping, p == 0 ? 0 : 1) << "partition " << p;
+    EXPECT_EQ(second_grouping, first_grouping) << "partition " << p;
   }
 }
 

@@ -33,9 +33,10 @@ namespace smr {
 namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 4, 8};
-// Comfortable (1 MiB), exactly one page, and below one page — the last
-// exercises the "own resident >= spill floor" leg of the spill trigger
-// (PagePool::kSpillFloorBytes, half a page).
+// Comfortable (1 MiB), exactly one page, and 4 KiB — below the spill floor
+// (PagePool::kSpillFloorBytes, half a page), so the pool is over budget at
+// every charge step and the last budget exercises the "own resident >=
+// spill floor" leg of the spill trigger.
 const uint64_t kBudgets[] = {uint64_t{1} << 20, PagePool::kPageBytes,
                              4 * 1024};
 
@@ -153,8 +154,9 @@ std::string Describe(const ExecutionPolicy& policy) {
 /// The spill trigger's memory bound for a round run under `policy` with
 /// per-record spill footprint `record_bytes`: the budget itself, plus one
 /// page + one record of slack per map worker (a worker spills only once
-/// its own resident block reaches a page), plus the record that tipped the
-/// pool over.
+/// its own resident block reaches the spill floor, and holds under a charge
+/// step the pool has not seen: floor + 2 steps <= page), plus the record
+/// that tipped the pool over.
 uint64_t ResidentBound(const ExecutionPolicy& policy, uint64_t record_bytes) {
   return policy.shuffle_budget_bytes +
          policy.num_threads * (PagePool::kPageBytes + record_bytes) +
@@ -297,6 +299,69 @@ TEST(SpillShuffleFuzz, LargeSerialRoundIsGuaranteedToSpill) {
   EXPECT_EQ(metrics.shuffle.spill_files, 1u);
   EXPECT_EQ(metrics, reference);
   EXPECT_EQ(sink.assignments(), reference_sink.assignments());
+}
+
+TEST(SpillShuffleFuzz, PartlySpilledRoundGroupsItsUnspilledPartitions) {
+  // Four partitions of 1000 keys each. The first inputs emit only into
+  // partition 0 and spill it eleven times under a one-page budget, the
+  // last time at their last pair; the last 1200 emit only into partitions
+  // 1-3, short of another spill, so those never spill and are grouped like
+  // an unbudgeted round's (dense keys: the per-key counting scatter). The
+  // round must still equal the reference exactly, at every thread count.
+  uint64_t pairs_per_spill = 0;  // One channel's, a function of bytes only.
+  {
+    PagePool pool(PagePool::kPageBytes, nullptr);
+    SpillChannel<int> channel(&pool, 1);
+    bool spilled = false;
+    while (!spilled) {
+      (*channel.buckets())[0].emplace_back(0, 0);
+      spilled = channel.NotifyAppend();
+      ++pairs_per_spill;
+    }
+  }
+  const int heavy = static_cast<int>(11 * pairs_per_spill);
+  constexpr int kLight = 1200;
+  ASSERT_LT(static_cast<uint64_t>(kLight), pairs_per_spill);
+  std::vector<int> inputs(heavy + kLight);
+  for (int i = 0; i < heavy + kLight; ++i) inputs[i] = i;
+  auto map_fn = [heavy](const int& i, Emitter<int>* out) {
+    const uint64_t key =
+        i < heavy ? SplitMix64(static_cast<uint64_t>(i)) % 1000
+                  : 1000 + SplitMix64(static_cast<uint64_t>(i)) % 3000;
+    out->Emit(key, i);
+  };
+  auto reduce_fn = [](uint64_t key, std::span<const int> values,
+                      ReduceContext* context) {
+    for (const int v : values) {
+      const NodeId out[2] = {static_cast<NodeId>(key),
+                             static_cast<NodeId>(v)};
+      context->EmitInstance(out);
+    }
+  };
+  const RoundSpec<int, int> round{"partly-spilled", map_fn, reduce_fn, 4000,
+                                  {}};
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference = ReferenceRound(
+      round, std::span<const int>(inputs), &reference_sink);
+
+  for (const unsigned threads : kThreadCounts) {
+    const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
+                                       .WithPartitions(4)
+                                       .WithBudget(PagePool::kPageBytes);
+    CollectingSink sink;
+    JobDriver driver(policy);
+    const MapReduceMetrics metrics = driver.RunRound(round, inputs, &sink);
+    EXPECT_EQ(metrics, reference) << Describe(policy);
+    EXPECT_EQ(sink.assignments(), reference_sink.assignments())
+        << Describe(policy);
+    EXPECT_GT(metrics.shuffle.pages_spilled, 0u) << Describe(policy);
+    if (threads == 1) {
+      // One channel: partition 0 holds the only runs, and partitions 1-3
+      // are grouped per key.
+      EXPECT_EQ(metrics.shuffle.counting_partitions, 3u);
+      EXPECT_EQ(metrics.shuffle.sorted_partitions, 0u);
+    }
+  }
 }
 
 TEST(SpillShuffleFuzz, MultiRoundJobPipelinesUnderBudget) {
