@@ -187,7 +187,6 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
     // the canonicality filter and the multiset check... Canonicality over
     // local ids is consistent because local ids are ordered like global
     // ids (nodes sorted ascending).
-    std::vector<NodeId> global(p);
     class FilterSink : public InstanceSink {
      public:
       FilterSink(const std::vector<NodeId>& nodes, const BucketHasher& hasher,

@@ -1,6 +1,7 @@
 #ifndef SMR_MAPREDUCE_CODEC_H_
 #define SMR_MAPREDUCE_CODEC_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -65,6 +66,11 @@ inline size_t PutVarint(uint64_t value, unsigned char* out) {
   }
   out[n++] = static_cast<unsigned char>(value);
   return n;
+}
+
+/// Bytes PutVarint writes for `value`.
+inline size_t VarintBytes(uint64_t value) {
+  return static_cast<size_t>(std::bit_width(value | 1) + 6) / 7;
 }
 
 inline void AppendVarint(uint64_t value, std::vector<unsigned char>* out) {
@@ -295,13 +301,18 @@ struct RecordCodec {
   static constexpr size_t kMaxFrameSize =
       kMaxVarintBytes + 1 + kMaxVarintBytes + ValueCodec<Value>::kBytes;
 
+  /// Appends [varint payload length][kPair][varint key][value bytes]
+  /// with one resize of `out` and direct writes into it.
   static void EncodePair(uint64_t key, const Value& value,
                          std::vector<unsigned char>* out) {
-    unsigned char body[kMaxVarintBytes + ValueCodec<Value>::kBytes];
-    const size_t key_bytes = PutVarint(key, body);
-    ValueCodec<Value>::Store(value, body + key_bytes);
-    AppendFrame(FrameKind::kPair, body, key_bytes + ValueCodec<Value>::kBytes,
-                out);
+    const size_t payload = 1 + VarintBytes(key) + ValueCodec<Value>::kBytes;
+    const size_t start = out->size();
+    out->resize(start + VarintBytes(payload) + payload);
+    unsigned char* at = out->data() + start;
+    at += PutVarint(payload, at);
+    *at++ = static_cast<unsigned char>(FrameKind::kPair);
+    at += PutVarint(key, at);
+    ValueCodec<Value>::Store(value, at);
   }
 
   /// Decodes the body of an already-framed kPair (after the kind byte).

@@ -8,10 +8,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -191,30 +194,54 @@ class FrameBuffer {
   size_t position_ = 0;
 };
 
-/// Reducer sink that appends each emission as one frame ([varint
-/// arity][varint node]*) to a shared buffer, so instances and records
-/// interleave in emission order; `starts` (optional) records every
-/// frame's offset for ShipStream.
+/// Reducer sink that writes each emission as one frame ([varint
+/// arity][varint node]*) through the worker's FrameWriter, so instances
+/// and records interleave in emission order.
 class FrameSink final : public InstanceSink {
  public:
-  FrameSink(FrameKind kind, std::vector<unsigned char>* out,
-            std::vector<size_t>* starts)
-      : kind_(kind), out_(out), starts_(starts) {}
+  FrameSink(FrameKind kind, FrameWriter* writer)
+      : kind_(kind), writer_(writer) {}
 
   void Emit(std::span<const NodeId> assignment) override {
-    if (starts_ != nullptr) starts_->push_back(out_->size());
     scratch_.clear();
     AppendVarint(assignment.size(), &scratch_);
     for (const NodeId node : assignment) AppendVarint(node, &scratch_);
-    AppendFrame(kind_, scratch_.data(), scratch_.size(), out_);
+    writer_->Write([&](std::vector<unsigned char>* wire) {
+      AppendFrame(kind_, scratch_.data(), scratch_.size(), wire);
+    });
   }
 
  private:
   FrameKind kind_;
-  std::vector<unsigned char>* out_;
-  std::vector<size_t>* starts_;
+  FrameWriter* writer_;
   std::vector<unsigned char> scratch_;
 };
+
+/// What a worker that died while its link was being fed had sent: the
+/// message of a kError frame up to the link's end, if there is one.
+std::optional<std::string> SentError(int fd, int timeout_ms,
+                                     uint64_t frame_limit) {
+  FrameBuffer buffer(frame_limit);
+  std::vector<unsigned char> scratch(kBatchBytes);
+  size_t n = 0;
+  try {
+    while (RecvTimed(fd, scratch.data(), scratch.size(), timeout_ms, &n) ==
+               IoStatus::kOk &&
+           n > 0) {
+      buffer.Append(scratch.data(), n);
+      FrameView frame;
+      while (buffer.Next(&frame) == DecodeStatus::kOk) {
+        if (frame.kind == FrameKind::kError) {
+          return std::string(reinterpret_cast<const char*>(frame.body),
+                             frame.body_bytes);
+        }
+      }
+    }
+  } catch (const std::runtime_error&) {
+    // Corrupt bytes say nothing more than the crash itself.
+  }
+  return std::nullopt;
+}
 
 constexpr size_t kMetricsFields = 7;
 
@@ -234,78 +261,122 @@ void AppendMetricsFrame(const MapReduceMetrics& shard,
 
 }  // namespace
 
-bool SendAll(int fd, const unsigned char* data, size_t size) {
-  return SendTimed(fd, data, size, /*timeout_ms=*/-1) == IoStatus::kOk;
+FrameWriter::FrameWriter(int fd, const std::optional<ArmedFault>& fault,
+                         bool stream)
+    : fd_(fd),
+      fault_(fault),
+      stream_(stream),
+      fire_at_(fault ? fault->after_frames : UINT64_MAX) {}
+
+void FrameWriter::End(uint64_t count) {
+  // A stream shorter than the plan's frame takes the fault on its kEnd,
+  // so an armed fault always fires.
+  if (fault_) fire_at_ = std::min(fire_at_, frames_);
+  unsigned char body[kMaxVarintBytes];
+  const size_t used = PutVarint(count, body);
+  Write([&](std::vector<unsigned char>* wire) {
+    AppendFrame(FrameKind::kEnd, body, used, wire);
+  });
+  if (cut_ != SIZE_MAX) Cut();
+  Flush();
 }
 
-void ShipStream(int fd, std::vector<unsigned char>* wire,
-                const std::vector<size_t>& starts,
-                const std::optional<ArmedFault>& fault) {
-  if (fault) {
-    const size_t at = starts[std::min<uint64_t>(fault->after_frames,
-                                                starts.size() - 1)];
-    if (fault->kind == FaultKind::kCorruptFrame) {
-      // The kind byte follows the length varint's last byte; 0xee is no
-      // FrameKind, so the receiver's strict decode rejects the stream.
-      size_t i = at;
-      while (i < wire->size() && ((*wire)[i] & 0x80) != 0) ++i;
-      if (i + 1 < wire->size()) (*wire)[i + 1] = 0xee;
-    } else {
-      // starts.back() is the end-of-stream frame, so a cut always
-      // withholds it: the fault is never silent.
-      SendAll(fd, wire->data(), at);
-      // A stall keeps the link open but silent: only the coordinator's
-      // deadline clears it. Every other kind dies on the spot.
-      while (fault->kind == FaultKind::kStallLink) pause();
-      raise(SIGKILL);
-      _exit(137);  // unreachable unless SIGKILL races
-    }
+void FrameWriter::Fire(size_t start) {
+  if (fault_->kind == FaultKind::kCorruptFrame) {
+    // The kind byte follows the length varint's last byte; 0xee is no
+    // FrameKind, so the receiver's strict decode rejects the stream.
+    size_t i = start;
+    while ((wire_[i] & 0x80) != 0) ++i;
+    wire_[i + 1] = 0xee;
+    return;
   }
+  cut_ = start;
+  if (stream_) Cut();
+}
+
+void FrameWriter::Flush() {
   // A failed send means the coordinator is gone: nobody to report to.
-  if (!SendAll(fd, wire->data(), wire->size())) _exit(2);
+  if (SendTimed(fd_, wire_.data(), wire_.size(), -1) != IoStatus::kOk) {
+    _exit(2);
+  }
+  wire_.clear();
+}
+
+void FrameWriter::Cut() {
+  // The cut frame and everything after it stay unsent. A cut on kEnd
+  // withholds kEnd itself, so the fault is never silent.
+  SendTimed(fd_, wire_.data(), cut_, -1);  // best effort
+  // A stall keeps the link open but silent: only the coordinator's
+  // deadline clears it. Every other kind dies on the spot.
+  while (fault_->kind == FaultKind::kStallLink) pause();
+  raise(SIGKILL);
+  _exit(137);  // unreachable unless SIGKILL races
+}
+
+class InputLink {
+ public:
+  explicit InputLink(int fd) : fd_(fd), scratch_(kBatchBytes) {}
+
+  /// The next frame, receiving more bytes when the buffer holds none.
+  FrameView Next() {
+    FrameView frame;
+    while (buffer_.Next(&frame) != DecodeStatus::kOk) {
+      size_t n = 0;
+      RecvTimed(fd_, scratch_.data(), scratch_.size(), /*timeout_ms=*/-1, &n);
+      if (n == 0) throw std::runtime_error("coordinator hung up mid-input");
+      buffer_.Append(scratch_.data(), n);
+    }
+    return frame;
+  }
+
+  bool NextPair(FrameView* frame) {
+    *frame = Next();
+    if (frame->kind == FrameKind::kPair) {
+      ++pairs_;
+      return true;
+    }
+    if (frame->kind != FrameKind::kEnd) {
+      throw std::runtime_error("unexpected frame from coordinator");
+    }
+    std::vector<uint64_t> count;
+    if (!DecodeVarints(*frame, 1, &count) || count[0] != pairs_ ||
+        !buffer_.Drained()) {
+      throw std::runtime_error("malformed end of input from coordinator");
+    }
+    return false;
+  }
+
+ private:
+  int fd_;
+  FrameBuffer buffer_;
+  std::vector<unsigned char> scratch_;
+  uint64_t pairs_ = 0;
+};
+
+bool NextPair(InputLink* link, FrameView* frame) {
+  return link->NextPair(frame);
 }
 
 void RunReduceChild(
     int fd, const std::optional<ArmedFault>& fault,
-    const std::function<void(const FrameView&)>& on_pair,
-    const std::function<void(InstanceSink*, InstanceSink*,
+    const std::function<void(InputLink*, InstanceSink*, InstanceSink*,
                              MapReduceMetrics*)>& reduce) {
-  unsigned char flags = 0;
-  FrameBuffer buffer;
-  std::vector<unsigned char> scratch(kBatchBytes);
-  for (bool ended = false; !ended;) {
-    size_t n = 0;
-    RecvTimed(fd, scratch.data(), scratch.size(), /*timeout_ms=*/-1, &n);
-    if (n == 0) throw std::runtime_error("coordinator hung up mid-input");
-    buffer.Append(scratch.data(), n);
-    FrameView frame;
-    while (!ended && buffer.Next(&frame) == DecodeStatus::kOk) {
-      if (frame.kind == FrameKind::kPair) {
-        on_pair(frame);
-      } else if (frame.kind == FrameKind::kHeader && frame.body_bytes == 1) {
-        flags = frame.body[0];
-      } else if (frame.kind == FrameKind::kEnd) {
-        ended = true;
-      } else {
-        throw std::runtime_error("unexpected frame from coordinator");
-      }
-    }
+  InputLink input(fd);
+  const FrameView header = input.Next();
+  if (header.kind != FrameKind::kHeader || header.body_bytes != 1) {
+    throw std::runtime_error("expected a header frame from coordinator");
   }
-
+  const unsigned char flags = header.body[0];
   MapReduceMetrics shard;
-  std::vector<unsigned char> out;
-  std::vector<size_t> starts;
-  std::vector<size_t>* tracked = fault ? &starts : nullptr;
-  FrameSink instances(FrameKind::kInstance, &out, tracked);
-  FrameSink records(FrameKind::kRecord, &out, tracked);
-  reduce((flags & 1u) != 0 ? &instances : nullptr,
+  FrameWriter writer(fd, fault, /*stream=*/false);
+  FrameSink instances(FrameKind::kInstance, &writer);
+  FrameSink records(FrameKind::kRecord, &writer);
+  reduce(&input, (flags & 1u) != 0 ? &instances : nullptr,
          (flags & 2u) != 0 ? &records : nullptr, &shard);
-  starts.push_back(out.size());
-  AppendMetricsFrame(shard, &out);
-  starts.push_back(out.size());
-  const unsigned char no_count = 0;
-  AppendFrame(FrameKind::kEnd, &no_count, 1, &out);
-  ShipStream(fd, &out, starts, fault);
+  writer.Write([&](std::vector<unsigned char>* wire) {
+    AppendMetricsFrame(shard, wire);
+  });
+  writer.End(0);
 }
 
 uint64_t CollectOutput(WorkerCrew* crew, size_t r, unsigned char flags,
@@ -496,6 +567,17 @@ std::optional<ArmedFault> WorkerCrew::Spawn(size_t index,
 void WorkerCrew::Send(size_t index, const unsigned char* data, size_t size) {
   const IoStatus io = SendTimed(workers_[index].fd, data, size, timeout_ms_);
   if (io == IoStatus::kOk) return;
+  if (io == IoStatus::kPeerGone) {
+    // A reducer that throws while its input still comes in dies with a
+    // kError frame on the link: report that, not a bare crash.
+    const std::optional<std::string> error =
+        SentError(workers_[index].fd, timeout_ms_, frame_limit_);
+    if (error) {
+      KillAndReap(index);
+      throw Fault{WorkerErrorKind::kChildError,
+                  Who(index) + " failed: " + *error};
+    }
+  }
   const std::string how = KillAndReap(index);
   if (io == IoStatus::kTimeout) {
     throw Fault{WorkerErrorKind::kDeadline,

@@ -1,8 +1,6 @@
 #ifndef SMR_MAPREDUCE_PROCESS_BACKEND_H_
 #define SMR_MAPREDUCE_PROCESS_BACKEND_H_
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -17,126 +15,11 @@
 #include "mapreduce/codec.h"
 #include "mapreduce/fault_injection.h"
 #include "mapreduce/local_round.h"
+#include "mapreduce/process_link.h"
 #include "mapreduce/round.h"
 #include "mapreduce/worker_error.h"
 
 namespace smr {
-
-namespace process_internal {
-
-// The Value-independent half of the backend, defined in process_backend.cc
-// (the only file that calls fork/socketpair/poll).
-
-/// One worker attempt's failure, thrown by a crew's start/collect hooks;
-/// WorkerCrew::Run restarts the slot or escalates to a WorkerError.
-struct Fault {
-  WorkerErrorKind kind = WorkerErrorKind::kCrash;
-  std::string detail;
-};
-
-/// Links carry pair frames in writes, and are read, in ~256 KiB batches.
-inline constexpr size_t kBatchBytes = 256 * 1024;
-
-/// The round's forked workers of one role, in fixed slots a failed worker
-/// is respawned into, and the one retry loop both roles run. Link waits
-/// honor the progress deadline `timeout_ms` (< 0 blocks); frames decode
-/// strictly under the larger of `pair_frame_bytes` and 1 MiB (output and
-/// error frames), so a corrupted length prefix is rejected. The destructor
-/// kills and reaps every live worker: a throw anywhere leaks no children.
-class WorkerCrew {
- public:
-  /// One slot's hooks for Run: `start` forks the worker, `collect` sends
-  /// it any input and reads its output (both throw Fault), `discard` drops
-  /// a failed attempt's parent-side state and returns its frame count.
-  struct Tasks {
-    std::function<void(size_t)> start;
-    std::function<void(size_t)> collect;
-    std::function<uint64_t(size_t)> discard;
-  };
-  using Body = std::function<void(int fd, const std::optional<ArmedFault>&)>;
-
-  WorkerCrew(WorkerRole role, size_t count, int timeout_ms,
-             uint64_t pair_frame_bytes);
-  ~WorkerCrew();
-  WorkerCrew(const WorkerCrew&) = delete;
-  WorkerCrew& operator=(const WorkerCrew&) = delete;
-
-  /// Runs in passes: this thread starts every pending slot, then all of
-  /// them collect at once on the policy's pool, each touching only its own
-  /// slot. After the join, failed slots are killed, discarded, counted and
-  /// backed off in slot order, then restarted in the next pass; the lowest
-  /// one to exhaust retry.max_attempts throws WorkerError. Retries,
-  /// discarded frames, deadline kills and pool use add up in *stats.
-  void Run(const ExecutionPolicy& policy, ShuffleStats* stats,
-           const Tasks& tasks);
-
-  /// Arms the attempt with `injector` (may be null) and forks slot
-  /// `index`; the child runs body(fd, armed child-side fault), turning an
-  /// exception into a kError frame and exit(1). Throws
-  /// Fault{kSpawnFailure}; returns the armed fault.
-  std::optional<ArmedFault> Spawn(size_t index, FaultInjector* injector,
-                                  const Body& body);
-
-  /// Sends [data, data + size) to the worker; throws Fault when it died
-  /// or stopped reading for the deadline.
-  void Send(size_t index, const unsigned char* data, size_t size);
-
-  /// Hands every frame before the worker's kEnd to `on_frame`, reaps it,
-  /// adds the link's bytes to *bytes, and returns kEnd's count. Throws
-  /// Fault on a crash, child error, deadline, corrupt bytes, bad exit.
-  uint64_t Read(size_t index,
-                const std::function<void(const FrameView&)>& on_frame,
-                uint64_t* bytes);
-
-  /// "map worker 3" — how messages name slot `index`.
-  std::string Who(size_t index) const;
-
- private:
-  struct Worker { pid_t pid = -1; int fd = -1; };
-  bool Reap(size_t index, std::string* how);
-  std::string KillAndReap(size_t index);
-
-  WorkerRole role_;
-  std::vector<Worker> workers_;
-  int timeout_ms_;
-  uint64_t frame_limit_;
-};
-
-/// Reduce worker r's collect: validates each output frame against the
-/// requested `flags` (1 = instances, 2 = records) and buffers it into
-/// *replay, counting *frames. Returns the link's bytes; throws Fault.
-uint64_t CollectOutput(WorkerCrew* crew, size_t r, unsigned char flags,
-                       std::vector<unsigned char>* replay, uint64_t* frames);
-
-/// Replays one worker's collected output: instances into `sink`, records
-/// into `records`, its metrics frame into *metrics.
-void ReplayOutput(const std::vector<unsigned char>& replay, InstanceSink* sink,
-                  InstanceSink* records, MapReduceMetrics* metrics);
-
-/// Child side; a child's link IO blocks (its liveness is the
-/// coordinator's problem). SendAll returns false when the peer is gone.
-bool SendAll(int fd, const unsigned char* data, size_t size);
-
-/// Sends a child's finished stream; `starts` holds every frame's offset.
-/// Unarmed, the whole stream goes out. An armed kill or stall sends the
-/// frames before starts[min(after, last)] and dies or hangs; an armed
-/// corrupt-frame breaks that frame's kind byte and sends it all.
-void ShipStream(int fd, std::vector<unsigned char>* wire,
-                const std::vector<size_t>& starts,
-                const std::optional<ArmedFault>& fault);
-
-/// A reduce worker's whole life after the fork: reads its input up to
-/// the coordinator's kEnd (pair frames go to `on_pair`), runs `reduce`
-/// into frame-encoding sinks for the instances and records the header's
-/// flags asked for, and ships the output — instance/record frames in
-/// emission order, a metrics frame, kEnd — through ShipStream.
-void RunReduceChild(
-    int fd, const std::optional<ArmedFault>& fault,
-    const std::function<void(const FrameView&)>& on_pair,
-    const std::function<void(InstanceSink*, InstanceSink*,
-                             MapReduceMetrics*)>& reduce);
-
-}  // namespace process_internal
 
 /// BackendMode::kProcess: map and reduce workers are forked processes, and
 /// every shuffled pair crosses the kernel as a codec-framed record over a
@@ -152,13 +35,21 @@ void RunReduceChild(
 /// coordinator thread, all at once, and forks happen only between those
 /// passes.
 ///
+/// Both worker roles stream, so neither holds its whole side of the
+/// shuffle: a map worker ships its pairs in kBatchBytes batches while it
+/// maps (a round with a combiner folds its whole slice first), and a
+/// reduce worker reduces each key as soon as its last pair arrives. A
+/// reduce worker holds only its output, until its input's kEnd, so no
+/// link ever sends both ways at once.
+///
 /// Faults (tests/fault_tolerance_test.cc), under policy.retry: a failed
 /// attempt is killed and its parent-side effects (channel, buffered
 /// output, wire bytes) discarded; the slot re-forks on the same slice or
-/// group, so recovery is byte-identical. An exhausted slot throws
-/// WorkerError, or under kFallbackThread the round reruns locally — safe,
-/// as output is replayed only after every worker succeeded. Wire bytes
-/// count successful attempts only.
+/// group, so recovery is byte-identical. An armed fault fires on the frame
+/// the plan names, as the child writes it (FrameWriter). An exhausted
+/// slot throws WorkerError, or under kFallbackThread the round reruns
+/// locally — safe, as output is replayed only after every worker
+/// succeeded. Wire bytes count successful attempts only.
 ///
 /// Reducer contract: only what reducers emit through the ReduceContext
 /// reaches the parent (a shared-slot write stays in the child), and side
@@ -246,10 +137,7 @@ class ProcessShuffleBackend {
       uint64_t bytes = 0;
       logical[t] = map_crew.Read(t, [&](const FrameView& frame) {
         Pair pair;
-        if (frame.kind != FrameKind::kPair ||
-            RecordCodec<Value>::DecodePairBody(frame.body, frame.body_bytes,
-                                               &pair.first, &pair.second) !=
-                DecodeStatus::kOk) {
+        if (!DecodePair(frame, &pair)) {
           throw Fault{WorkerErrorKind::kCorruptFrame,
                       "corrupt pair frame on " + map_crew.Who(t) + "'s link"};
         }
@@ -278,9 +166,9 @@ class ProcessShuffleBackend {
     metrics.shuffle.process_workers = map_workers;
     if (total_pairs == 0) return;
 
-    // Reduce: worker r is sent its partition group and buffers its whole
-    // output until its input's kEnd — so each link's send completes before
-    // its collect, with no send/recv cycle.
+    // Reduce: worker r is sent its partition group and reduces it as it
+    // arrives, but holds its output until its input's kEnd — so each
+    // link's send completes before its collect, with no send/recv cycle.
     const unsigned reduce_workers = policy.EffectiveProcessWorkers(total_pairs);
     const std::vector<size_t> groups =
         engine_internal::SliceBoundaries(partitions, reduce_workers);
@@ -340,55 +228,61 @@ class ProcessShuffleBackend {
     if (counts_only) sink->EmitCount(metrics.outputs);
   }
 
-  /// Map worker body: map and combine the slice, then ship its pairs and a
-  /// kEnd carrying the logical emission count — in batches, or (armed)
-  /// whole, so ShipStream can cut it at an exact frame.
+  /// Map worker body: maps its slice and ships the pairs as it goes —
+  /// after each input, its pairs are encoded into the link's current
+  /// batch, which goes out when full — then a kEnd carrying the logical
+  /// emission count. A combiner folds over the whole slice, so a round
+  /// with one ships once its slice is mapped.
   static void MapChild(const RoundSpec<Input, Value>& spec,
                        std::span<const Input> slice, const CombineFn* combiner,
                        const std::optional<ArmedFault>& fault, int fd) {
+    process_internal::FrameWriter writer(fd, fault, /*stream=*/true);
     std::vector<Pair> pairs;
     Emitter<Value> emitter(&pairs, combiner, 0);
-    for (const Input& input : slice) spec.mapper(input, &emitter);
-    std::vector<unsigned char> wire;
-    std::vector<size_t> starts;
-    for (const Pair& pair : pairs) {
-      if (fault) starts.push_back(wire.size());
-      RecordCodec<Value>::EncodePair(pair.first, pair.second, &wire);
-      if (!fault && wire.size() >= process_internal::kBatchBytes) {
-        // A failed send means the coordinator is gone: nobody to report to.
-        if (!process_internal::SendAll(fd, wire.data(), wire.size())) _exit(2);
-        wire.clear();
+    const auto ship = [&] {
+      for (const Pair& pair : pairs) {
+        writer.Write([&](std::vector<unsigned char>* wire) {
+          RecordCodec<Value>::EncodePair(pair.first, pair.second, wire);
+        });
       }
+      pairs.clear();
+    };
+    for (const Input& input : slice) {
+      spec.mapper(input, &emitter);
+      if (combiner == nullptr) ship();
     }
-    starts.push_back(wire.size());
-    unsigned char body[kMaxVarintBytes];
-    AppendFrame(FrameKind::kEnd, body, PutVarint(emitter.emitted(), body),
-                &wire);
-    process_internal::ShipStream(fd, &wire, starts, fault);
+    ship();
+    writer.End(emitter.emitted());
   }
 
-  /// Reduce worker body (forked child): read the whole partition group,
-  /// then reduce it with the engine's own ReduceRange.
+  /// Reduce worker body (forked child): the engine's own ReduceGroups,
+  /// fed straight from the link, so each key is reduced as soon as its
+  /// last pair arrives.
   static void ReduceChild(const RoundSpec<Input, Value>& spec,
                           const CombineFn* combiner,
                           const std::optional<ArmedFault>& fault, int fd) {
-    std::vector<Pair> pairs;
-    const auto on_pair = [&](const FrameView& frame) {
+    process_internal::RunReduceChild(fd, fault, [&](auto* link, auto* out,
+                                                    auto* records, auto* shard) {
       Pair pair;
-      if (RecordCodec<Value>::DecodePairBody(frame.body, frame.body_bytes,
-                                             &pair.first, &pair.second) !=
-          DecodeStatus::kOk) {
-        throw std::runtime_error("malformed pair frame from coordinator");
-      }
-      pairs.push_back(pair);
-    };
-    process_internal::RunReduceChild(
-        fd, fault, on_pair,
-        [&](InstanceSink* instances, InstanceSink* records,
-            MapReduceMetrics* shard) {
-          engine_internal::ReduceRange(pairs, 0, pairs.size(), spec.reducer,
-                                       combiner, instances, records, shard);
-        });
+      FrameView frame;
+      const auto next = [&]() -> const Pair* {
+        if (!process_internal::NextPair(link, &frame)) return nullptr;
+        if (!DecodePair(frame, &pair)) {
+          throw std::runtime_error("malformed pair frame from coordinator");
+        }
+        return &pair;
+      };
+      engine_internal::ReduceGroups<Value>(next, spec.reducer, combiner, out,
+                                           records, shard);
+    });
+  }
+
+  /// False unless `frame` is a well-formed kPair, decoded into *pair.
+  static bool DecodePair(const FrameView& frame, Pair* pair) {
+    return frame.kind == FrameKind::kPair &&
+           RecordCodec<Value>::DecodePairBody(frame.body, frame.body_bytes,
+                                              &pair->first, &pair->second) ==
+               DecodeStatus::kOk;
   }
 };
 

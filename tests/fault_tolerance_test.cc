@@ -30,6 +30,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/policy_spec.h"
+#include "mapreduce/process_link.h"
 #include "mapreduce/worker_error.h"
 
 namespace smr {
@@ -230,6 +231,48 @@ TEST(FaultTolerance, RoundLevelKillsRecoverAcrossPartitionCountsAndBudgets) {
         EXPECT_EQ(metrics.shuffle.deadline_kills, 0u) << label;
         EXPECT_EQ(injector.fires(), 2u) << label;
       }
+    }
+  }
+}
+
+// Map workers ship while they map, so a fault armed past the first
+// kBatchBytes batch lands after whole batches already reached the
+// coordinator's channel. Frame 30 000 is past it: a pair frame of this
+// round is at least 11 bytes. Each failed attempt must discard exactly
+// the frames before its cut, and recovery must stay byte-identical, also
+// when the channel spilled them.
+TEST(FaultTolerance, LateCutsPastTheFirstBatchDiscardTheFramesBeforeThem) {
+  static_assert(30000 * 11 > process_internal::kBatchBytes);
+  const CountSpec spec = CountRound(256, /*with_combiner=*/false);
+  const std::vector<uint32_t> inputs = Iota(200000);
+
+  CollectingSink thread_sink;
+  const MapReduceMetrics thread_metrics =
+      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+
+  const struct {
+    const char* plan;
+    uint64_t faults;
+  } kCases[] = {
+      {"map:kill:0:after=30000", 1},
+      {"map:corrupt:1:after=30000", 1},
+      {"map:kill:0:after=30000;map:corrupt:1:after=30000", 2},
+  };
+  for (const auto& test_case : kCases) {
+    for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
+      FaultInjector injector(ParseFaultPlan(test_case.plan));
+      CollectingSink sink;
+      const MapReduceMetrics metrics =
+          RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+                   FaultyPolicy(2, &injector).WithBudget(budget));
+      const std::string label =
+          std::string(test_case.plan) + " budget=" + std::to_string(budget);
+      EXPECT_TRUE(metrics == thread_metrics) << label;
+      EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
+      EXPECT_EQ(metrics.shuffle.worker_retries, test_case.faults) << label;
+      EXPECT_EQ(metrics.shuffle.frames_discarded, 30000 * test_case.faults)
+          << label;
+      EXPECT_EQ(injector.fires(), test_case.faults) << label;
     }
   }
 }

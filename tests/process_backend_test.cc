@@ -24,6 +24,7 @@
 #include "mapreduce/instance_sink.h"
 #include "mapreduce/job.h"
 #include "mapreduce/metrics.h"
+#include "mapreduce/worker_error.h"
 
 namespace smr {
 namespace {
@@ -443,6 +444,40 @@ TEST(ProcessBackend, ReducerExceptionTravelsBackWithItsMessage) {
     EXPECT_TRUE(Contains(error.what(), "reduce worker")) << error.what();
     EXPECT_TRUE(Contains(error.what(), "reducer exploded on purpose"))
         << error.what();
+  }
+}
+
+// A reduce worker reduces while its input still arrives, so a reducer that
+// throws on a late key of a partition group spanning many link batches
+// (400 000 pairs of about 12 bytes, one group) dies while the coordinator
+// is still sending. The coordinator must read the worker's kError frame
+// and report a child error carrying the reducer's message, not a crash.
+TEST(ProcessBackend, ReducerExceptionMidInputSurfacesAsChildError) {
+  const pid_t parent = getpid();
+  CountSpec spec = CountRound(1000, /*with_combiner=*/false);
+  spec.reducer = [parent](uint64_t key, std::span<const uint64_t>,
+                          ReduceContext*) {
+    if (getpid() != parent && key == 100) {
+      throw std::runtime_error("reducer exploded on a late key");
+    }
+  };
+  const std::vector<uint32_t> inputs = Iota(400000);
+  for (const unsigned workers : {1u, 2u}) {
+    CollectingSink sink;
+    try {
+      RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+               ExecutionPolicy::Serial().WithPartitions(1).WithBackend(
+                   BackendMode::kProcess, workers));
+      FAIL() << "a throwing reducer must raise in the coordinator";
+    } catch (const WorkerError& error) {
+      EXPECT_EQ(error.kind(), WorkerErrorKind::kChildError) << error.what();
+      EXPECT_EQ(error.role(), "reduce");
+      EXPECT_EQ(error.worker(), 0u);
+      EXPECT_TRUE(Contains(error.what(), "reduce worker 0 failed"))
+          << error.what();
+      EXPECT_TRUE(Contains(error.what(), "reducer exploded on a late key"))
+          << error.what();
+    }
   }
 }
 
